@@ -47,13 +47,8 @@ constexpr std::uint64_t kCommitteeSweepSeed = 13;
 
 Row measure(std::uint32_t m, double cross_fraction, std::uint64_t seed) {
   const protocol::Params params = params_for(m, cross_fraction, seed);
-  // Paper-scale committee counts get intra-engine shard parallelism;
-  // the historical points keep the sequential reference path (protocol
-  // numbers are byte-identical either way).
-  protocol::EngineOptions options;
-  if (m >= 32) options.engine_threads = 4;
   bench::PointProbe probe;
-  protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
+  protocol::Engine engine(params, protocol::AdversaryConfig{});
   const auto report = engine.run_round();
   Row row;
   row.m = m;

@@ -57,14 +57,8 @@ Row measure(std::uint32_t m, std::uint32_t c) {
   config.rounds_per_epoch = 1;
   config.churn_rate = 0.2;
 
-  // Paper-scale committee counts get intra-engine shard parallelism;
-  // the historical points keep the sequential reference path (protocol
-  // numbers are byte-identical either way).
-  protocol::EngineOptions options;
-  if (m >= 32) options.engine_threads = 4;
   bench::PointProbe probe;
-  epoch::EpochManager manager(params, protocol::AdversaryConfig{}, config,
-                              options);
+  epoch::EpochManager manager(params, protocol::AdversaryConfig{}, config);
   std::vector<net::Counter> phases;
   while (!manager.finished()) {
     bench::add_phase_totals(phases, manager.run_round());

@@ -31,14 +31,6 @@ struct Sample {
   std::vector<net::Counter> phases;
 };
 
-// Paper-scale configurations (m >= 32) enable intra-engine shard
-// parallelism; the historical points keep the sequential reference path
-// so their perf fields stay comparable across revisions. Protocol
-// numbers are byte-identical either way (the determinism contract
-// scripts/run_checks.sh enforces).
-constexpr std::uint32_t kParallelFrom = 32;
-constexpr unsigned kEngineThreads = 4;
-
 Sample measure(const Sweep& sweep) {
   protocol::Params params;
   params.m = sweep.m;
@@ -50,10 +42,8 @@ Sample measure(const Sweep& sweep) {
   params.invalid_fraction = 0.0;
   params.users = 16 * sweep.m;
   params.seed = 99;
-  protocol::EngineOptions options;
-  if (sweep.m >= kParallelFrom) options.engine_threads = kEngineThreads;
   bench::PointProbe probe;
-  protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
+  protocol::Engine engine(params, protocol::AdversaryConfig{});
   const auto report = engine.run_round();
 
   Sample sample;

@@ -48,20 +48,10 @@ protocol::Params params_for(std::uint32_t m) {
 
 constexpr std::size_t kRounds = 2;
 
-// Paper-scale points (m >= 32) enable intra-engine shard parallelism;
-// the smaller historical points keep the sequential reference path so
-// their perf fields (wall_ms, payload counters) stay comparable across
-// revisions. Protocol numbers are byte-identical either way — that is
-// the determinism contract scripts/run_checks.sh enforces.
-constexpr std::uint32_t kParallelFrom = 32;
-constexpr unsigned kEngineThreads = 4;
-
 Point measure(std::uint32_t m) {
   const protocol::Params params = params_for(m);
-  protocol::EngineOptions options;
-  if (m >= kParallelFrom) options.engine_threads = kEngineThreads;
   bench::PointProbe probe;
-  protocol::Engine engine(params, protocol::AdversaryConfig{}, options);
+  protocol::Engine engine(params, protocol::AdversaryConfig{});
   const auto report = engine.run(kRounds);
 
   Point p;

@@ -45,10 +45,9 @@ done
 echo "phase breakdowns present, wall-clock free"
 
 echo "=== paper-scale population points (m=32, m=64) ==="
-# The shard-parallel engine path exists so the complexity/scalability
-# sweeps can reach the paper's population scale; both artifacts must
-# carry the m=32 and m=64 points or the slope fits silently regress to
-# the small-m regime.
+# The complexity/scalability sweeps reach the paper's population scale;
+# both artifacts must carry the m=32 and m=64 points or the slope fits
+# silently regress to the small-m regime.
 for name in throughput_scalability table2_complexity; do
   artifact="bench/out/BENCH_${name}.json"
   for m in 32 64; do

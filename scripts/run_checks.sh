@@ -2,13 +2,13 @@
 # Sanitizer gate: build with AddressSanitizer + UBSan and run the tier-1
 # test suite plus the bounded default scenario matrix under
 # instrumentation. Catches memory and UB bugs the optimized builds hide.
-# The intra-engine shard-parallelism path gets three dedicated jobs:
-#   - a --engine-threads 1 vs 4 byte-compare over the full traced
-#     default matrix (ASan/UBSan),
+# The sweep pool (support/parallel.hpp) gets three dedicated jobs:
+#   - a --threads 1 vs 4 byte-compare over the full traced default
+#     matrix (ASan/UBSan),
 #   - the CLI edge-path script (scripts/test_cli.sh) on the same build,
 #   - a ThreadSanitizer build (separate dir, -DCYC_SANITIZE=thread)
-#     running the parallel-equivalence gate and a matrix sweep at
-#     --engine-threads 4.
+#     running the sweep-pool unit tests and a matrix sweep at
+#     --threads 4.
 # Finishes with the Release scenario-fuzz gate (scripts/run_fuzz.sh:
 # fixed seed, 200-spec budget, shrink-on-failure, double-run
 # byte-compare).
@@ -43,18 +43,15 @@ echo "=== scenario matrix (sanitized) ==="
 echo
 echo "=== traced scenario matrix (determinism byte-compare) ==="
 # Traces record simulated time only, so both the per-point trace files
-# and the matrix artifact must be byte-identical across runs AND thread
-# counts — the sweep pool (--threads) and the intra-engine shard
-# parallelism (--engine-threads) alike — and tracing must not perturb
-# the untraced artifact either. Run A is the fully sequential reference
-# path; run B parallelizes both layers.
+# and the matrix artifact must be byte-identical across runs AND sweep
+# thread counts (--threads), and tracing must not perturb the untraced
+# artifact either. Run A is the fully sequential reference path; run B
+# runs the points on the sweep pool.
 rm -rf "$BUILD_DIR/traces-a" "$BUILD_DIR/traces-b"
 "$BUILD_DIR/scenario_runner" --trace "$BUILD_DIR/traces-a" \
-  --threads 1 --engine-threads 1 \
-  --out "$BUILD_DIR/SCENARIOS.traced-a.json"
+  --threads 1 --out "$BUILD_DIR/SCENARIOS.traced-a.json"
 "$BUILD_DIR/scenario_runner" --trace "$BUILD_DIR/traces-b" \
-  --threads 4 --engine-threads 4 \
-  --out "$BUILD_DIR/SCENARIOS.traced-b.json"
+  --threads 4 --out "$BUILD_DIR/SCENARIOS.traced-b.json"
 cmp "$BUILD_DIR/SCENARIOS.traced-a.json" "$BUILD_DIR/SCENARIOS.traced-b.json"
 diff -r "$BUILD_DIR/traces-a" "$BUILD_DIR/traces-b"
 cmp "$BUILD_DIR/SCENARIOS.asan.json" "$BUILD_DIR/SCENARIOS.traced-a.json"
@@ -62,8 +59,8 @@ if grep -l wall_us "$BUILD_DIR"/traces-a/*.trace.json; then
   echo "error: wall-clock args leaked into default traces" >&2
   exit 1
 fi
-echo "traced matrix: byte-identical, --threads 1/--engine-threads 1" \
-     "vs --threads 4/--engine-threads 4, inert vs untraced"
+echo "traced matrix: byte-identical, --threads 1 vs --threads 4," \
+     "inert vs untraced"
 
 echo
 echo "=== CLI edge paths (sanitized binaries) ==="
@@ -81,37 +78,36 @@ for spec in tests/corpus/*.json; do
 done
 
 echo
-echo "=== skew + rebalance determinism (--engine-threads 1 vs 4) ==="
+echo "=== skew + rebalance determinism (--threads 1 vs 4) ==="
 # The load-aware re-draw feeds off the open-loop load window and re-homes
-# accounts at epoch boundaries; both must be independent of the
-# intra-engine thread count or the rebalance path breaks the determinism
-# contract. Replay the multi-epoch skew corpus spec at both settings and
+# accounts at epoch boundaries; both must be independent of the sweep
+# thread count or the rebalance path breaks the determinism contract.
+# Replay the multi-epoch skew corpus spec at both settings and
 # byte-compare the artifacts.
 "$BUILD_DIR/scenario_runner" --spec tests/corpus/skew-rebalance.json \
-  --engine-threads 1 --out "$BUILD_DIR/skew-rebalance.et1.json"
+  --threads 1 --out "$BUILD_DIR/skew-rebalance.t1.json"
 "$BUILD_DIR/scenario_runner" --spec tests/corpus/skew-rebalance.json \
-  --engine-threads 4 --out "$BUILD_DIR/skew-rebalance.et4.json"
-cmp "$BUILD_DIR/skew-rebalance.et1.json" "$BUILD_DIR/skew-rebalance.et4.json"
-echo "skew-rebalance spec: byte-identical across engine thread counts"
+  --threads 4 --out "$BUILD_DIR/skew-rebalance.t4.json"
+cmp "$BUILD_DIR/skew-rebalance.t1.json" "$BUILD_DIR/skew-rebalance.t4.json"
+echo "skew-rebalance spec: byte-identical across sweep thread counts"
 
 echo
-echo "=== ThreadSanitizer job (intra-engine shard parallelism) ==="
-# The two-stage compute/emit engine path is the only code that shares an
-# Engine across threads; TSan instruments exactly that. Scope: the
-# parallel-equivalence gate (thread counts 1..8 in-process) plus a full
-# default-matrix run at --engine-threads 4. ASan/UBSan and TSan cannot
-# share a build, hence the second build dir.
+echo "=== ThreadSanitizer job (sweep pool) ==="
+# The sweep pool is the only code that runs on more than one thread:
+# independent Engines side by side, so any process-wide state they touch
+# (libm's lgamma `signgam` was one) is a race. TSan instruments exactly
+# that. Scope: the pool's unit tests plus a full default-matrix run at
+# --threads 4. ASan/UBSan and TSan cannot share a build, hence the
+# second build dir.
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCYC_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j"$(nproc)" --target \
-  protocol_test_parallel_equivalence support_test_parallel scenario_runner
-TSAN_OPTIONS="halt_on_error=1" \
-  "$TSAN_DIR/protocol_test_parallel_equivalence"
+  support_test_parallel scenario_runner
 TSAN_OPTIONS="halt_on_error=1" \
   "$TSAN_DIR/support_test_parallel"
 TSAN_OPTIONS="halt_on_error=1" \
-  "$TSAN_DIR/scenario_runner" --engine-threads 4 \
+  "$TSAN_DIR/scenario_runner" --threads 4 \
   --out "$TSAN_DIR/SCENARIOS.tsan.json"
 echo "tsan job: no data races reported"
 

@@ -106,7 +106,7 @@ Confirm Confirm::deserialize(BytesView b) {
   c.id = read_id(rd);
   c.digest = crypto::digest_from_bytes(rd.bytes());
   c.member = rd.u64();
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   c.echo_list.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     c.echo_list.push_back(crypto::SignedMessage::deserialize(rd.bytes()));
@@ -130,7 +130,7 @@ QuorumCert QuorumCert::deserialize(BytesView b) {
   QuorumCert qc;
   qc.id = read_id(rd);
   qc.digest = crypto::digest_from_bytes(rd.bytes());
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   qc.confirms.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     qc.confirms.push_back(crypto::SignedMessage::deserialize(rd.bytes()));

@@ -32,7 +32,7 @@ MerkleProof MerkleProof::deserialize(BytesView b) {
   Reader rd(b);
   MerkleProof p;
   p.index = rd.u64();
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   p.siblings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     p.siblings.push_back(digest_from_bytes(rd.bytes()));

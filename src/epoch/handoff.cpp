@@ -22,7 +22,7 @@ void write_ids(Writer& w, const std::vector<net::NodeId>& ids) {
 }
 
 std::vector<net::NodeId> read_ids(Reader& r) {
-  return r.vec<net::NodeId>([](Reader& r2) { return r2.u32(); });
+  return r.vec<net::NodeId>([](Reader& r2) { return r2.u32(); }, 4);
 }
 
 }  // namespace
@@ -63,8 +63,8 @@ EpochHandoff EpochHandoff::deserialize(BytesView b) {
   h.randomness = read_digest(r);
   h.chain_tip = read_digest(r);
   h.chain_height = r.u64();
-  h.shard_digests =
-      r.vec<crypto::Digest>([](Reader& r2) { return read_digest(r2); });
+  h.shard_digests = r.vec<crypto::Digest>(
+      [](Reader& r2) { return read_digest(r2); }, 4);
   h.carried_txs = r.u64();
   h.carried_digest = read_digest(r);
   h.surviving_reputation = r.f64();

@@ -42,7 +42,7 @@ RebalancePlan RebalancePlan::deserialize(BytesView b) {
     mv.from = r2.u32();
     mv.to = r2.u32();
     return mv;
-  });
+  }, 8 + 4 + 4);
   plan.fair_draw_tail = r.f64();
   plan.map_digest = crypto::digest_from_bytes(r.bytes());
   plan.migrated_outputs = r.u64();

@@ -77,7 +77,7 @@ Block Block::deserialize(BytesView b) {
   Reader rd(b);
   Block block;
   block.header = BlockHeader::deserialize(rd.bytes());
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   block.txs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     block.txs.push_back(Transaction::deserialize(rd.bytes()));

@@ -39,7 +39,7 @@ Transaction Transaction::deserialize(BytesView b) {
   const Bytes body = outer.bytes();
   Transaction tx;
   Reader rd(body);
-  const std::uint32_t n_in = rd.u32();
+  const std::uint32_t n_in = rd.count(4 + 4);  // digest bytes + index
   tx.inputs.reserve(n_in);
   for (std::uint32_t i = 0; i < n_in; ++i) {
     OutPoint op;
@@ -47,7 +47,7 @@ Transaction Transaction::deserialize(BytesView b) {
     op.index = rd.u32();
     tx.inputs.push_back(op);
   }
-  const std::uint32_t n_out = rd.u32();
+  const std::uint32_t n_out = rd.count(8 + 8);  // owner + amount
   tx.outputs.reserve(n_out);
   for (std::uint32_t i = 0; i < n_out; ++i) {
     TxOut out;

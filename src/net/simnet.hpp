@@ -12,15 +12,10 @@
 // rng::Stream. Monte-Carlo sweeps parallelize across *independent*
 // simulator instances, never inside one.
 //
-// Intra-engine contract (EngineOptions::engine_threads): delay jitter is
-// drawn from the stream *at send time*, in global send order, so every
-// call into send()/multicast()/send_shared() must happen on the engine
-// thread in the exact order of the sequential path. The Engine's shard
-// parallelism honours this by splitting each phase into a parallel
-// compute stage (no sends, no RNG) and a sequential emit stage that
-// performs the sends in committee-index order — see "Execution model"
-// in src/protocol/README.md. SimNet itself is never called from pool
-// workers.
+// Delay jitter is drawn from the stream *at send time*, in global send
+// order, so the send order of send()/multicast()/send_shared() fixes
+// every later delivery time (see "Execution model" in
+// src/protocol/README.md).
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,6 @@
 #include "crypto/schnorr.hpp"
 #include "obs/observer.hpp"
 #include "protocol/payloads.hpp"
-#include "support/parallel.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
@@ -775,45 +774,38 @@ void Engine::start_round_state() {
       n.catchup_tally.clear();  // fresh tally every attempt
     }
   }
-  // Per-node round reset: every write is confined to nodes_[i], so the
-  // jobs are index-disjoint and the result is independent of worker
-  // scheduling (no RNG, no sends, no verify-cache touches).
-  support::parallel_for(
-      nodes_.size(),
-      [&](std::size_t i) {
-        auto& n = nodes_[i];
-        n.role = Role::kCommon;
-        n.committee = -1;
-        n.member_list.clear();
-        n.lead.clear();
-        n.member.clear();
-        n.certs.clear();
-        n.leader_list_msg.reset();
-        n.leader_commit_msg.reset();
-        n.commitments.clear();
-        n.lists.clear();
-        n.known_pks.clear();
-        n.votes.clear();
-        n.cross_votes.clear();
-        n.pending_votes.clear();
-        n.pending_cross_votes.clear();
-        n.intra_decision.clear();
-        n.cross_decision.clear();
-        n.sent_intra_result = false;
-        n.cross_in.clear();
-        n.cross_in_at.clear();
-        n.cross_done.clear();
-        n.cross_hints.clear();
-        n.cross_hint_at.clear();
-        n.cross_seen_propose.clear();
-        n.leader_sent_txlist = false;
-        n.leader_sent_commitment = false;
-        n.pending_accusation.reset();
-        n.impeach_approvals.clear();
-        n.accused_this_round = false;
-        n.sent_prosecution = false;
-      },
-      options_.engine_threads);
+  for (auto& n : nodes_) {
+    n.role = Role::kCommon;
+    n.committee = -1;
+    n.member_list.clear();
+    n.lead.clear();
+    n.member.clear();
+    n.certs.clear();
+    n.leader_list_msg.reset();
+    n.leader_commit_msg.reset();
+    n.commitments.clear();
+    n.lists.clear();
+    n.known_pks.clear();
+    n.votes.clear();
+    n.cross_votes.clear();
+    n.pending_votes.clear();
+    n.pending_cross_votes.clear();
+    n.intra_decision.clear();
+    n.cross_decision.clear();
+    n.sent_intra_result = false;
+    n.cross_in.clear();
+    n.cross_in_at.clear();
+    n.cross_done.clear();
+    n.cross_hints.clear();
+    n.cross_hint_at.clear();
+    n.cross_seen_propose.clear();
+    n.leader_sent_txlist = false;
+    n.leader_sent_commitment = false;
+    n.pending_accusation.reset();
+    n.impeach_approvals.clear();
+    n.accused_this_round = false;
+    n.sent_prosecution = false;
+  }
   for (net::NodeId id : assign_.referees) {
     nodes_[id].role = Role::kReferee;
   }
@@ -830,21 +822,15 @@ void Engine::start_round_state() {
     }
   }
   // Members copy their shard's UTXO view (the state their committee is
-  // responsible for). For n in the thousands these deep copies dominate
-  // round setup; each job reads shared shard state and writes only its
-  // own node, so the copies parallelize without a merge step.
-  support::parallel_for(
-      nodes_.size(),
-      [&](std::size_t i) {
-        auto& n = nodes_[i];
-        if (n.committee >= 0) {
-          n.utxo = shard_state_[static_cast<std::size_t>(n.committee)];
-        } else {
-          n.utxo = ledger::UtxoStore(0, params_.m);
-          n.utxo.attach_map(shard_map_);
-        }
-      },
-      options_.engine_threads);
+  // responsible for).
+  for (auto& n : nodes_) {
+    if (n.committee >= 0) {
+      n.utxo = shard_state_[static_cast<std::size_t>(n.committee)];
+    } else {
+      n.utxo = ledger::UtxoStore(0, params_.m);
+      n.utxo.attach_map(shard_map_);
+    }
+  }
 
   committees_.assign(params_.m, CommitteeRound{});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -1215,32 +1201,12 @@ void Engine::finalize_round(RoundReport& report) {
   }
 
   // --- Apply the block to the authoritative per-shard state. ---
-  // Parallel over *stores*: each job walks the committed list in block
-  // order and applies every tx to its one shard, computing the fee just
-  // before the apply when that shard is the tx's input shard. This
-  // reproduces the sequential semantics exactly — fee(tx_i) is taken
-  // against the store after txs 0..i-1 applied — with index-disjoint
-  // writes (fees[i] has a unique owning shard). The fee sum then runs
-  // sequentially in block order so floating-point association is
-  // bit-identical to the single-threaded path.
-  std::vector<double> fees(committed.size(), 0.0);
-  support::parallel_for(
-      shard_state_.size(),
-      [&](std::size_t s) {
-        auto& store = shard_state_[s];
-        for (std::size_t i = 0; i < committed.size(); ++i) {
-          const auto& tx = committed[i];
-          if (ledger::input_shard(tx, *shard_map_) == s) {
-            fees[i] = static_cast<double>(ledger::tx_fee(tx, store));
-          }
-          store.apply(tx);
-        }
-      },
-      options_.engine_threads);
   double total_fees = 0.0;
-  for (std::size_t i = 0; i < committed.size(); ++i) {
-    total_fees += fees[i];
-    workload_->mark_committed(committed[i]);
+  for (const auto& tx : committed) {
+    total_fees += static_cast<double>(ledger::tx_fee(
+        tx, shard_state_[ledger::input_shard(tx, *shard_map_)]));
+    for (auto& store : shard_state_) store.apply(tx);
+    workload_->mark_committed(tx);
   }
   report.total_fees = total_fees;
   // Offered but unpacked valid txs form the Remaining TX List (§IV-G)
@@ -1450,26 +1416,12 @@ RoundAssignment Engine::draw_assignment(
   // (§IV-F); taking the best `referee_size` implements a difficulty d
   // that yields the target committee size exactly.
   auto rank_by_role = [&](std::string_view role) {
-    // Candidate filter stays sequential (reads `taken`); the role-hash
-    // lottery itself is a pure SHA-256 per candidate, so it fans out.
-    // The final (hash, id) sort is a total order — independent of both
-    // insertion and worker order.
-    std::vector<net::NodeId> candidates;
+    std::vector<std::pair<std::uint64_t, net::NodeId>> ranked;
     for (net::NodeId id : participants) {
       if (taken.contains(id)) continue;
-      candidates.push_back(id);
+      ranked.emplace_back(
+          role_hash(next_round, randomness, nodes_[id].keys.pk, role), id);
     }
-    std::vector<std::pair<std::uint64_t, net::NodeId>> ranked(
-        candidates.size());
-    support::parallel_for(
-        candidates.size(),
-        [&](std::size_t i) {
-          const net::NodeId id = candidates[i];
-          ranked[i] = {
-              role_hash(next_round, randomness, nodes_[id].keys.pk, role),
-              id};
-        },
-        options_.engine_threads);
     std::sort(ranked.begin(), ranked.end());
     return ranked;
   };
@@ -1505,26 +1457,12 @@ RoundAssignment Engine::draw_assignment(
 
   // Everyone else: committee via cryptographic sortition (Alg. 1) with
   // the new randomness; the node re-derives this itself in the next
-  // round's configuration phase. The sortition hash chain per node is
-  // pure and writes only that node's ticket, so it fans out; the commons
-  // push-back runs afterwards in participants order so each committee's
-  // commons list keeps the sequential ordering exactly.
-  {
-    std::vector<net::NodeId> commons;
-    for (net::NodeId id : participants) {
-      if (taken.contains(id)) continue;
-      commons.push_back(id);
-    }
-    support::parallel_for(
-        commons.size(),
-        [&](std::size_t i) {
-          NodeState& n = nodes_[commons[i]];
-          n.ticket = crypto_sort(n.keys, next_round, randomness, params_.m);
-        },
-        options_.engine_threads);
-    for (net::NodeId id : commons) {
-      next.committees[nodes_[id].ticket.committee].commons.push_back(id);
-    }
+  // round's configuration phase.
+  for (net::NodeId id : participants) {
+    if (taken.contains(id)) continue;
+    NodeState& n = nodes_[id];
+    n.ticket = crypto_sort(n.keys, next_round, randomness, params_.m);
+    next.committees[n.ticket.committee].commons.push_back(id);
   }
   return next;
 }

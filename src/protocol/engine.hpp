@@ -73,15 +73,6 @@ struct EngineOptions {
   /// Crash-recovery: how many consecutive rounds a restarted node keeps
   /// retrying the referee catch-up before it gives up and re-crashes.
   std::uint32_t max_catchup_rounds = 4;
-  /// Intra-engine shard parallelism: worker threads for the parallel
-  /// *compute* stage of each phase (signing, serialization, hashing,
-  /// PoW, UTXO copies). All message emission, signature verification
-  /// (the thread_local verdict cache feeds traced metrics) and RNG-
-  /// consuming work stays on the engine thread in committee-index
-  /// order, so every artifact is byte-identical across thread counts.
-  /// 1 = fully sequential reference path. Deliberately NOT serialized
-  /// by ScenarioSpec::to_json: an execution knob, not protocol state.
-  unsigned engine_threads = 1;
 };
 
 /// State digest a restarted node must reproduce before rejoining: the
@@ -262,10 +253,6 @@ class Engine {
                 std::uint64_t until_round);
   /// Heal every partition still open at `round`; returns how many closed.
   std::uint64_t heal(std::uint64_t round);
-  /// Catch-up attempts resolved during the last completed round.
-  const std::vector<CatchUpRecord>& catchup_log() const {
-    return catchup_log_;
-  }
 
   /// Epoch-boundary entry point: install a new membership set and re-draw
   /// every role from the epoch randomness, keeping all ledger state.
@@ -438,9 +425,6 @@ class Engine {
 
   // ---- helpers ----
   NodeState& node(net::NodeId id) { return nodes_[id]; }
-  const CommitteeInfo& committee_info(std::uint32_t k) const {
-    return assign_.committees[k];
-  }
   std::vector<net::NodeId> committee_members(std::uint32_t k) const;
   std::vector<crypto::PublicKey> committee_pks(std::uint32_t k) const;
   net::NodeId node_of_pk(const crypto::PublicKey& pk) const;
@@ -506,33 +490,14 @@ class Engine {
                           net::Time now);
   void redo_leader_duties(std::uint32_t k, net::Time now);
 
-  /// Leader duties per phase (also used on recovery redo; each stays
-  /// callable inline for a single committee).
+  /// Leader duties per phase, one committee per call (the phase drivers
+  /// and the recovery redo both call them).
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
   void leader_start_intra(std::uint32_t k, net::Time now);
   void leader_start_cross(std::uint32_t k, net::Time now);
   void leader_handle_cross_in(NodeState& leader, const Bytes& request,
                               net::Time now);
   void leader_send_scores(std::uint32_t k, net::Time now);
-
-  /// Two-stage split of the leader duties above for intra-engine shard
-  /// parallelism: build_* is the pure compute half (deterministic
-  /// signing, serialization, commitment hashing — no sends, no RNG, no
-  /// signature *verification*, which would touch the thread_local
-  /// verdict cache that feeds traced metrics) and is safe on pool
-  /// workers; emit_* performs exactly the sends and engine-state
-  /// mutations of the sequential path and must run on the engine thread
-  /// in committee-index order. build_* returns empty bytes when the
-  /// committee's leader has nothing to send this phase.
-  Bytes build_semicommit(NodeState& leader, std::uint32_t k);
-  void emit_semicommit(NodeState& leader, std::uint32_t k,
-                       const Bytes& wire_bytes);
-  Bytes build_intra_txlist(std::uint32_t k);
-  void emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                         net::Time now);
-  Bytes build_cross_txlist(std::uint32_t k);
-  void emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                         net::Time now);
 
   /// Apply score reports that have gathered a referee-majority ack into
   /// pending_scores_ (idempotent; run before selection and finalize).

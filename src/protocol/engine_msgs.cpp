@@ -7,7 +7,6 @@
 #include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "obs/observer.hpp"
-#include "support/parallel.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol {
@@ -48,55 +47,29 @@ void Engine::phase_config(net::Time at) {
   current_phase_ = net::Phase::kCommitteeConfig;
   obs_phase(net::Phase::kCommitteeConfig, at);
   // Key members seed their list S with the committee's key members
-  // (addresses known from block B^{r-1}). Every key member belongs to
-  // exactly one committee, so the per-committee jobs write disjoint node
-  // state and fan out without a merge step.
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        for (net::NodeId id : assign_.committees[k].key_members()) {
-          NodeState& key_member = nodes_[id];
-          for (net::NodeId peer : assign_.committees[k].key_members()) {
-            if (key_member.known_pks.insert(nodes_[peer].keys.pk.y).second) {
-              key_member.member_list.push_back(nodes_[peer].keys.pk);
-            }
-          }
-        }
-      },
-      options_.engine_threads);
-  // Non-key members run CRYPTO_SORT and register with the key members.
-  // Two stages: the per-common self-registration and Intro serialization
-  // are node-disjoint pure compute; payload creation (thread_local alloc
-  // counters) and sends run on the engine thread in (committee, id)
-  // order so the simulator's delay-RNG draw order matches the
-  // sequential path byte for byte.
-  struct IntroJob {
-    std::uint32_t k;
-    net::NodeId id;
-    Bytes wire_bytes;
-  };
-  std::vector<IntroJob> intros;
+  // (addresses known from block B^{r-1}).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    for (net::NodeId id : assign_.committees[k].commons) {
-      if (!nodes_[id].is_active(round_)) continue;
-      intros.push_back(IntroJob{k, id, {}});
+    for (net::NodeId id : assign_.committees[k].key_members()) {
+      NodeState& key_member = nodes_[id];
+      for (net::NodeId peer : assign_.committees[k].key_members()) {
+        if (key_member.known_pks.insert(nodes_[peer].keys.pk.y).second) {
+          key_member.member_list.push_back(nodes_[peer].keys.pk);
+        }
+      }
     }
   }
-  support::parallel_for(
-      intros.size(),
-      [&](std::size_t i) {
-        NodeState& common = nodes_[intros[i].id];
-        common.known_pks.insert(common.keys.pk.y);
-        common.member_list.push_back(common.keys.pk);
-        wire::Intro intro{common.id, common.keys.pk, common.ticket};
-        intros[i].wire_bytes = intro.serialize();
-      },
-      options_.engine_threads);
-  for (std::size_t i : support::stage_order(intros.size())) {
-    const auto& job = intros[i];
-    const auto payload = net::make_payload(job.wire_bytes);
-    for (net::NodeId km : assign_.committees[job.k].key_members()) {
-      net_->send_shared(job.id, km, net::Tag::kConfig, payload);
+  // Non-key members run CRYPTO_SORT and register with the key members.
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    for (net::NodeId id : assign_.committees[k].commons) {
+      NodeState& common = nodes_[id];
+      if (!common.is_active(round_)) continue;
+      common.known_pks.insert(common.keys.pk.y);
+      common.member_list.push_back(common.keys.pk);
+      wire::Intro intro{common.id, common.keys.pk, common.ticket};
+      const auto payload = net::make_payload(intro.serialize());
+      for (net::NodeId km : assign_.committees[k].key_members()) {
+        net_->send_shared(common.id, km, net::Tag::kConfig, payload);
+      }
     }
   }
   // Restarted nodes spend the configuration phase asking the referees for
@@ -118,22 +91,8 @@ void Engine::phase_semicommit(net::Time at) {
   net_->set_phase(net::Phase::kSemiCommit);
   current_phase_ = net::Phase::kSemiCommit;
   obs_phase(net::Phase::kSemiCommit, at);
-  // Two-stage fan-out: commitment hashing + double signing + wire
-  // serialization per committee on the pool, emission in committee-index
-  // order on the engine thread (see "Execution model" in
-  // src/protocol/README.md).
-  std::vector<Bytes> built(params_.m);
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        NodeState& leader = nodes_[committees_[k].current_leader];
-        built[k] = build_semicommit(leader, static_cast<std::uint32_t>(k));
-      },
-      options_.engine_threads);
-  for (std::size_t k : support::stage_order(params_.m)) {
-    if (built[k].empty()) continue;
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    emit_semicommit(leader, static_cast<std::uint32_t>(k), built[k]);
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_send_semicommit(nodes_[committees_[k].current_leader], k);
   }
   // A silent leader is only impeachable once common members can
   // corroborate the silence (they never see SEMI_COM traffic), so the
@@ -145,22 +104,8 @@ void Engine::phase_intra(net::Time at) {
   net_->set_phase(net::Phase::kIntraConsensus);
   current_phase_ = net::Phase::kIntraConsensus;
   obs_phase(net::Phase::kIntraConsensus, at);
-  // Two-stage fan-out: the leader's tx-list signing + serialization per
-  // committee runs on the pool; the multicast, the leader's own vote
-  // (ledger::V — verdict cache) and the tally timer run on the engine
-  // thread in committee-index order.
-  {
-    std::vector<Bytes> built(params_.m);
-    support::parallel_for(
-        params_.m,
-        [&](std::size_t k) {
-          built[k] = build_intra_txlist(static_cast<std::uint32_t>(k));
-        },
-        options_.engine_threads);
-    for (std::size_t k : support::stage_order(params_.m)) {
-      if (built[k].empty()) continue;
-      emit_intra_txlist(static_cast<std::uint32_t>(k), built[k], at);
-    }
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_start_intra(k, at);
   }
   const net::Time deadline =
       at + 0.7 * params_.intra_duration * params_.delays.delta;
@@ -195,25 +140,8 @@ void Engine::phase_inter(net::Time at) {
   net_->set_phase(net::Phase::kInterConsensus);
   current_phase_ = net::Phase::kInterConsensus;
   obs_phase(net::Phase::kInterConsensus, at);
-  if (options_.extension_precommunication) {
-    // The §VIII-A pre-check interleaves sends with ledger::V filtering,
-    // so it cannot be split into a pure compute stage — run the whole
-    // phase sequentially (the reference path).
-    for (std::uint32_t k = 0; k < params_.m; ++k) {
-      leader_start_cross(k, at);
-    }
-    return;
-  }
-  std::vector<Bytes> built(params_.m);
-  support::parallel_for(
-      params_.m,
-      [&](std::size_t k) {
-        built[k] = build_cross_txlist(static_cast<std::uint32_t>(k));
-      },
-      options_.engine_threads);
-  for (std::size_t k : support::stage_order(params_.m)) {
-    if (built[k].empty()) continue;
-    emit_cross_txlist(static_cast<std::uint32_t>(k), built[k], at);
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    leader_start_cross(k, at);
   }
 }
 
@@ -238,34 +166,16 @@ void Engine::phase_selection(net::Time at) {
       concat({bytes_of("cyc.round"), be64(round_),
               crypto::digest_to_bytes(randomness_)});
   const std::uint64_t target = crypto::pow_target_for_bits(params_.pow_bits);
-  // Two-stage fan-out: the PoW search is the single most expensive pure
-  // computation of the round (a bounded nonce scan per enrolled node),
-  // so it runs on the pool; the solution sends run on the engine thread
-  // in node-id order so delay-RNG draw order matches the sequential
-  // path.
-  std::vector<net::NodeId> solvers;
   for (const auto& n : nodes_) {
     if (!n.enrolled) continue;               // standby identities sit out
     if (!n.is_active(round_ + 1)) continue;  // crashed nodes sit out
-    solvers.push_back(n.id);
-  }
-  std::vector<Bytes> solutions(solvers.size());
-  support::parallel_for(
-      solvers.size(),
-      [&](std::size_t i) {
-        const NodeState& n = nodes_[solvers[i]];
-        const Bytes per_node = concat({challenge, be64(n.keys.pk.y)});
-        const auto solution = crypto::pow_solve(per_node, target, 0, 1u << 20);
-        if (!solution) return;
-        wire::PowMsg msg{n.id, n.keys.pk, solution->nonce, solution->digest};
-        solutions[i] = msg.serialize();
-      },
-      options_.engine_threads);
-  for (std::size_t i : support::stage_order(solvers.size())) {
-    if (solutions[i].empty()) continue;
-    const auto payload = net::make_payload(solutions[i]);
+    const Bytes per_node = concat({challenge, be64(n.keys.pk.y)});
+    const auto solution = crypto::pow_solve(per_node, target, 0, 1u << 20);
+    if (!solution) continue;
+    wire::PowMsg msg{n.id, n.keys.pk, solution->nonce, solution->digest};
+    const auto payload = net::make_payload(msg.serialize());
     for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(solvers[i], rm, net::Tag::kPowSolution, payload);
+      net_->send_shared(n.id, rm, net::Tag::kPowSolution, payload);
     }
   }
   const net::Time when =

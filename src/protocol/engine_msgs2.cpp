@@ -38,8 +38,8 @@ crypto::Digest vlist_digest(const std::map<net::NodeId, VoteVector>& votes) {
 // Semi-commitment exchange (Alg. 4)
 // ---------------------------------------------------------------------------
 
-Bytes Engine::build_semicommit(NodeState& leader, std::uint32_t k) {
-  if (!leader.is_active(round_)) return {};
+void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
+  if (!leader.is_active(round_)) return;
   std::vector<crypto::PublicKey> list = leader.member_list;
 
   crypto::Digest commitment = semi_commitment(list);
@@ -57,12 +57,7 @@ Bytes Engine::build_semicommit(NodeState& leader, std::uint32_t k) {
       leader.keys, commitment_payload(round_, k, commitment));
   msg.list_msg =
       crypto::make_signed(leader.keys, member_list_payload(round_, k, list));
-  return msg.serialize();
-}
-
-void Engine::emit_semicommit(NodeState& leader, std::uint32_t k,
-                             const Bytes& wire_bytes) {
-  const auto payload = net::make_payload(wire_bytes);
+  const auto payload = net::make_payload(msg.serialize());
   for (net::NodeId rm : assign_.referees) {
     net_->send_shared(leader.id, rm, net::Tag::kSemiCommit, payload);
   }
@@ -70,12 +65,6 @@ void Engine::emit_semicommit(NodeState& leader, std::uint32_t k,
     if (pm == leader.id) continue;
     net_->send_shared(leader.id, pm, net::Tag::kSemiCommit, payload);
   }
-}
-
-void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
-  const Bytes wire_bytes = build_semicommit(leader, k);
-  if (wire_bytes.empty()) return;
-  emit_semicommit(leader, k, wire_bytes);
 }
 
 void Engine::on_semicommit(NodeState& self, const net::Message& msg,
@@ -258,31 +247,21 @@ VoteVector Engine::tally(const std::map<net::NodeId, VoteVector>& votes,
   return decision;
 }
 
-Bytes Engine::build_intra_txlist(std::uint32_t k) {
+void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
-  if (!leader.is_active(round_)) return {};
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-    return {};
-  }
+  if (!leader.is_active(round_)) return;
+  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
+
+  const auto& txs = committees_[k].intra_list;
   wire::TxListMsg msg;
   msg.committee = k;
   msg.attempt = committees_[k].attempt;
   msg.cross = false;
-  msg.signed_list = crypto::make_signed(
-      leader.keys, wire::encode_tx_vec(committees_[k].intra_list));
-  return msg.serialize();
-}
-
-void Engine::emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                               net::Time now) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
-  const auto& txs = committees_[k].intra_list;
+  msg.signed_list = crypto::make_signed(leader.keys, wire::encode_tx_vec(txs));
   net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
-                  wire_bytes);
+                  msg.serialize());
   leader.votes.clear();
-  // The leader votes too (it is a member of the committee). compute_vote
-  // runs ledger::V, whose verdict-cache hits feed traced metrics — this
-  // is why voting lives in the emit stage, on the engine thread.
+  // The leader votes too (it is a member of the committee).
   leader.votes[leader.id] = compute_vote(leader, txs);
 
   // Collection window (the paper suggests 6 Delta): tally, agree, report.
@@ -309,12 +288,6 @@ void Engine::emit_intra_txlist(std::uint32_t k, const Bytes& wire_bytes,
     leader_start_instance(leader, k, sn_intra(attempt),
                           committees_[k].pending_intra_payload);
   });
-}
-
-void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
-  const Bytes wire_bytes = build_intra_txlist(k);
-  if (wire_bytes.empty()) return;
-  emit_intra_txlist(k, wire_bytes, now);
 }
 
 void Engine::on_txlist(NodeState& self, const net::Message& msg) {
@@ -381,28 +354,43 @@ void Engine::leader_flush_votes(NodeState& leader, bool cross) {
 // Inter-committee consensus (§IV-D)
 // ---------------------------------------------------------------------------
 
-Bytes Engine::build_cross_txlist(std::uint32_t k) {
+void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
-  if (!leader.is_active(round_)) return {};
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-    return {};
+  if (!leader.is_active(round_)) return;
+  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
+  if (committees_[k].cross_list.empty()) return;
+
+  if (options_.extension_precommunication) {
+    // §VIII-A: enquire the destination leaders about candidate validity
+    // before packaging, then drop transactions the pre-check rejects —
+    // invalid traffic never reaches the two-committee consensus.
+    std::set<std::uint32_t> dests;
+    for (const auto& tx : committees_[k].cross_list) {
+      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
+        if (shard != k) dests.insert(shard);
+      }
+    }
+    for (std::uint32_t dest : dests) {
+      const net::NodeId peer = committees_[dest].current_leader;
+      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
+      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
+    }
+    std::vector<ledger::Transaction> filtered;
+    for (const auto& tx : committees_[k].cross_list) {
+      if (ledger::V(tx, leader.utxo)) filtered.push_back(tx);
+    }
+    committees_[k].cross_list = std::move(filtered);
+    if (committees_[k].cross_list.empty()) return;
   }
-  if (committees_[k].cross_list.empty()) return {};
+
+  const auto& txs = committees_[k].cross_list;
   wire::TxListMsg msg;
   msg.committee = k;
   msg.attempt = committees_[k].attempt;
   msg.cross = true;
-  msg.signed_list = crypto::make_signed(
-      leader.keys, wire::encode_tx_vec(committees_[k].cross_list));
-  return msg.serialize();
-}
-
-void Engine::emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
-                               net::Time now) {
-  NodeState& leader = nodes_[committees_[k].current_leader];
-  const auto& txs = committees_[k].cross_list;
+  msg.signed_list = crypto::make_signed(leader.keys, wire::encode_tx_vec(txs));
   net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
-                  wire_bytes);
+                  msg.serialize());
   leader.cross_votes.clear();
   leader.cross_votes[leader.id] = compute_vote(leader, txs);
 
@@ -442,41 +430,6 @@ void Engine::emit_cross_txlist(std::uint32_t k, const Bytes& wire_bytes,
                             request.agreed_payload());
     }
   });
-}
-
-void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
-  if (options_.extension_precommunication) {
-    // §VIII-A: enquire the destination leaders about candidate validity
-    // before packaging, then drop transactions the pre-check rejects —
-    // invalid traffic never reaches the two-committee consensus. The
-    // pre-check both sends and runs ledger::V, so this path stays fully
-    // sequential (phase_inter never fans it out).
-    NodeState& leader = nodes_[committees_[k].current_leader];
-    if (!leader.is_active(round_)) return;
-    if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) {
-      return;
-    }
-    if (committees_[k].cross_list.empty()) return;
-    std::set<std::uint32_t> dests;
-    for (const auto& tx : committees_[k].cross_list) {
-      for (std::uint32_t shard : ledger::output_shards(tx, *shard_map_)) {
-        if (shard != k) dests.insert(shard);
-      }
-    }
-    for (std::uint32_t dest : dests) {
-      const net::NodeId peer = committees_[dest].current_leader;
-      net_->send(leader.id, peer, net::Tag::kPreCommQuery, Bytes(48, 0));
-      net_->send(peer, leader.id, net::Tag::kPreCommReply, Bytes(16, 0));
-    }
-    std::vector<ledger::Transaction> filtered;
-    for (const auto& tx : committees_[k].cross_list) {
-      if (ledger::V(tx, leader.utxo)) filtered.push_back(tx);
-    }
-    committees_[k].cross_list = std::move(filtered);
-  }
-  const Bytes wire_bytes = build_cross_txlist(k);
-  if (wire_bytes.empty()) return;
-  emit_cross_txlist(k, wire_bytes, now);
 }
 
 void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,

@@ -14,7 +14,7 @@ void write_pk_vec(Writer& w, const std::vector<crypto::PublicKey>& pks) {
 }
 
 std::vector<crypto::PublicKey> read_pk_vec(Reader& rd) {
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(8);
   std::vector<crypto::PublicKey> pks;
   pks.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) pks.push_back({rd.u64()});
@@ -57,7 +57,7 @@ Bytes MemberListMsg::serialize() const {
 MemberListMsg MemberListMsg::deserialize(BytesView b) {
   Reader rd(b);
   MemberListMsg m;
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);
   m.nodes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) m.nodes.push_back(rd.u32());
   m.pks = read_pk_vec(rd);
@@ -134,7 +134,7 @@ Bytes encode_tx_vec(const std::vector<ledger::Transaction>& txs) {
 
 std::vector<ledger::Transaction> decode_tx_vec(BytesView b) {
   Reader rd(b);
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   std::vector<ledger::Transaction> txs;
   txs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -173,7 +173,7 @@ Bytes encode_vote_vec(const VoteVector& votes) {
 
 VoteVector decode_vote_vec(BytesView b) {
   Reader rd(b);
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(1);
   VoteVector votes;
   votes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -323,7 +323,7 @@ ScoreListMsg ScoreListMsg::deserialize(BytesView b) {
   }
   ScoreListMsg m;
   m.committee = rd.u32();
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4 + 8);
   m.nodes.reserve(count);
   m.scores.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -57,7 +57,7 @@ std::vector<crypto::PublicKey> parse_member_list_payload(BytesView payload) {
   if (inner.str() != "cyc.memberlist") {
     throw std::invalid_argument("parse_member_list_payload: bad inner tag");
   }
-  const std::uint32_t count = inner.u32();
+  const std::uint32_t count = inner.count(8);
   std::vector<crypto::PublicKey> members;
   members.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -77,7 +77,7 @@ ImpeachmentCert ImpeachmentCert::deserialize(BytesView b) {
   Reader rd(b);
   ImpeachmentCert cert;
   cert.accusation = Accusation::deserialize(rd.bytes());
-  const std::uint32_t count = rd.u32();
+  const std::uint32_t count = rd.count(4);  // u32 length prefix each
   cert.approvals.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     cert.approvals.push_back(crypto::SignedMessage::deserialize(rd.bytes()));

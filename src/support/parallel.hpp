@@ -1,12 +1,13 @@
 // Thread-pool sweep runner for Monte-Carlo / parameter sweeps.
 //
-// The discrete-event simulator itself is single-threaded and
-// deterministic per seed (§III-B contract, see net/simnet.hpp); what
-// parallelises is the *sweep*: independent Engine instances, one per
-// parameter point or seed. parallel_sweep runs job(i) for i in [0, n)
-// across a pool of worker threads and collects the results in index
-// order, so the output is byte-identical to the sequential loop no
-// matter how the scheduler interleaves the workers.
+// The discrete-event simulator and the protocol Engine are single-
+// threaded and deterministic per seed (§III-B contract, see
+// net/simnet.hpp); the only parallelism is the *sweep*: independent
+// Engine instances, one per parameter point or seed. parallel_sweep
+// runs job(i) for i in [0, n) across a pool of worker threads and
+// collects the results in index order, so the output is byte-identical
+// to the sequential loop no matter how the scheduler interleaves the
+// workers.
 //
 // Each job runs entirely on one worker thread; thread_local accounting
 // (payload allocation counters, the signature-verdict cache) therefore
@@ -83,74 +84,6 @@ auto parallel_sweep(std::size_t n, Job&& job, unsigned threads = 0)
   for (auto& t : pool) t.join();
   if (error) std::rethrow_exception(error);
   return results;
-}
-
-/// Run `job(i)` for every i in [0, n) on up to `threads` workers,
-/// discarding results. Same independence contract as parallel_sweep:
-/// jobs must only write state disjoint by index. With `threads <= 1`
-/// the loop runs inline on the calling thread, so thread_local
-/// accounting (payload allocation counters, the signature-verdict
-/// cache) is untouched — this is the default engine configuration and
-/// the reference behaviour the parallel path must reproduce.
-template <typename Job>
-void parallel_for(std::size_t n, Job&& job, unsigned threads = 1) {
-  if (n == 0) return;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads > 0 ? threads : 1, n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) job(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-
-  auto worker = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        job(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
-}
-
-/// Test-only switch for stage_order below. Production code never sets
-/// it; the parallel-equivalence test flips it to prove its byte-compare
-/// would actually catch a merge-order perturbation (non-vacuity twin).
-inline std::atomic<bool>& stage_order_perturbed() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-/// Emit order for a two-stage (parallel compute, sequential emit)
-/// phase: the indices [0, n) in the canonical committee/node order the
-/// sequential engine uses. Every emit loop that follows a parallel
-/// compute stage must iterate in this order so message send order —
-/// and therefore the simulator's delay-RNG draw order — is independent
-/// of worker scheduling. Returns reversed order when the test hook is
-/// set.
-inline std::vector<std::size_t> stage_order(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  if (stage_order_perturbed().load(std::memory_order_relaxed)) {
-    std::reverse(order.begin(), order.end());
-  }
-  return order;
 }
 
 }  // namespace cyc::support

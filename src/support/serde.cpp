@@ -85,6 +85,12 @@ Bytes Reader::bytes() {
   return out;
 }
 
+std::uint32_t Reader::count(std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  need(static_cast<std::size_t>(n) * min_element_bytes);
+  return n;
+}
+
 std::string Reader::str() {
   Bytes b = bytes();
   return std::string(b.begin(), b.end());

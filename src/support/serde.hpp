@@ -55,13 +55,21 @@ class Reader {
   bool boolean();
   Bytes bytes();
   std::string str();
+  /// Read a u32 element count and check that the rest of the input can
+  /// hold that many elements of at least `min_element_bytes` each, so a
+  /// forged count cannot make the caller reserve more than the input
+  /// could ever fill. Call this, never u32(), before reserve(count).
+  std::uint32_t count(std::size_t min_element_bytes);
 
+  /// Read a vector written by Writer::vec; `fn(reader)` decodes one
+  /// element, which occupies at least `min_element_bytes` on the wire
+  /// (1 by default: no encoded element is empty).
   template <typename T, typename Fn>
-  std::vector<T> vec(Fn&& fn) {
-    std::uint32_t count = u32();
+  std::vector<T> vec(Fn&& fn, std::size_t min_element_bytes = 1) {
+    const std::uint32_t n = count(min_element_bytes);
     std::vector<T> out;
-    out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) out.push_back(fn(*this));
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) out.push_back(fn(*this));
     return out;
   }
 

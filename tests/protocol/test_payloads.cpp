@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "support/serde.hpp"
+
 namespace cyc::protocol::wire {
 namespace {
 
@@ -192,6 +196,29 @@ TEST(Payloads, SemiCommitAckRoundTrip) {
   EXPECT_EQ(back.commitment, a.commitment);
   EXPECT_EQ(back.members, a.members);
   EXPECT_EQ(back.cert, a.cert);
+}
+
+// Every wire count is checked against the remaining input before any
+// reserve, so a count of 0xFFFFFFFF with no elements behind it is a
+// truncated payload, not a multi-gigabyte allocation.
+TEST(Payloads, ForgedCountsThrowBeforeReserve) {
+  Writer count_only;
+  count_only.u32(0xFFFFFFFFu);
+  const Bytes forged = count_only.take();
+  EXPECT_THROW(decode_tx_vec(forged), std::out_of_range);
+  EXPECT_THROW(decode_vote_vec(forged), std::out_of_range);
+  EXPECT_THROW(MemberListMsg::deserialize(forged), std::out_of_range);
+
+  Writer no_nodes;  // empty node list, forged public-key count
+  no_nodes.u32(0);
+  no_nodes.u32(0xFFFFFFFFu);
+  EXPECT_THROW(MemberListMsg::deserialize(no_nodes.out()), std::out_of_range);
+
+  Writer scores;
+  scores.str("SCORE_LIST");
+  scores.u32(3);
+  scores.u32(0xFFFFFFFFu);
+  EXPECT_THROW(ScoreListMsg::deserialize(scores.out()), std::out_of_range);
 }
 
 }  // namespace

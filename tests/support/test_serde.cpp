@@ -61,6 +61,17 @@ TEST(Serde, TruncatedInputThrows) {
   EXPECT_THROW(rd.u64(), std::out_of_range);
 }
 
+// A forged element count must be rejected against the bytes actually
+// present, before anything is reserved: a 4-byte input must not be able
+// to ask for a 2^32-element allocation.
+TEST(Serde, ForgedVecCountThrowsBeforeReserve) {
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  Reader rd(w.out());
+  EXPECT_THROW(rd.vec<Bytes>([](Reader& r) { return r.bytes(); }),
+               std::out_of_range);
+}
+
 TEST(Serde, TruncatedBytesLengthThrows) {
   Writer w;
   w.bytes(Bytes(10, 0));

@@ -1,9 +1,8 @@
 // scenario_runner — execute a scenario matrix and check every protocol
 // invariant on every round of every (scenario, seed) point.
 //
-//   scenario_runner [--out FILE] [--spec FILE] [--threads N]
-//                   [--engine-threads N] [--print] [--trace DIR]
-//                   [--trace-wall]
+//   scenario_runner [--out FILE] [--spec FILE] [--threads N] [--print]
+//                   [--trace DIR] [--trace-wall]
 //
 // With no --spec, runs the built-in bounded default matrix (3 adversary
 // mixes x 2 delay regimes x 2 cross-shard fractions x 2 capacity skews
@@ -16,11 +15,6 @@
 // --out (default bench/out/SCENARIOS.json; the directory is created if
 // missing); it is a pure function of the matrix, so repeated runs are
 // byte-identical.
-//
-// --engine-threads N sets the intra-engine shard-parallelism worker
-// count on every scenario's EngineOptions (default 1 = sequential
-// reference path). The knob is execution-only: artifacts are
-// byte-identical for every N, which scripts/run_checks.sh verifies.
 //
 // --trace DIR additionally writes one Chrome trace_event JSON file per
 // (scenario, seed) point into DIR (created if missing) — simulated-time
@@ -52,8 +46,7 @@ constexpr const char* kTool = "scenario_runner";
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out FILE] [--spec FILE] [--threads N]"
-               " [--engine-threads N] [--print] [--trace DIR]"
-               " [--trace-wall]\n",
+               " [--print] [--trace DIR] [--trace-wall]\n",
                argv0);
   return 2;
 }
@@ -64,7 +57,6 @@ int main(int argc, char** argv) {
   std::string out_path = "bench/out/SCENARIOS.json";
   std::string spec_path;
   unsigned threads = 0;
-  std::uint64_t engine_threads = 1;
   bool print_artifact = false;
   std::string trace_dir;
   bool trace_wall = false;
@@ -77,18 +69,6 @@ int main(int argc, char** argv) {
       spec_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
       if (!cli::parse_threads(kTool, "--threads", argv[++i], threads)) {
-        return 2;
-      }
-    } else if (arg == "--engine-threads" && i + 1 < argc) {
-      if (!cli::parse_positive_u64(kTool, "--engine-threads", argv[++i],
-                                   engine_threads)) {
-        return 2;
-      }
-      if (engine_threads > 0xffffffffull) {
-        std::fprintf(stderr,
-                     "%s: --engine-threads expects a positive 32-bit "
-                     "integer\n",
-                     kTool);
         return 2;
       }
     } else if (arg == "--print") {
@@ -139,12 +119,6 @@ int main(int argc, char** argv) {
                    spec_path.c_str(), e.what());
       return 2;
     }
-  }
-
-  // Execution-only knob: never serialized into the artifact, so the
-  // outputs stay comparable across engine-thread counts.
-  for (auto& spec : scenarios) {
-    spec.options.engine_threads = static_cast<unsigned>(engine_threads);
   }
 
   if (trace_wall && trace_dir.empty()) {
