@@ -127,6 +127,14 @@ protocol::EngineOptions options_from_json(const JsonValue& v) {
   o.referee_credit = v.number_or("referee_credit", o.referee_credit);
   o.max_recoveries_per_committee = u32_field(
       v, "max_recoveries_per_committee", o.max_recoveries_per_committee);
+  if (o.max_recoveries_per_committee > protocol::kMaxSnAttempt) {
+    // Each recovery restarts the committee's instances in the next of 16
+    // sequence-number slots; a larger budget would alias two instances.
+    throw std::runtime_error(
+        "scenario: max_recoveries_per_committee must be <= " +
+        std::to_string(protocol::kMaxSnAttempt) +
+        " (the sequence-number layout has 16 attempt slots)");
+  }
   o.extension_precommunication = v.bool_or("extension_precommunication",
                                            o.extension_precommunication);
   o.extension_parallel_blocks =

@@ -59,6 +59,14 @@ Engine::Engine(Params params, AdversaryConfig adversary, EngineOptions options)
       adversary_(adversary),
       options_(options),
       rng_(rng::Stream(params.seed).fork("engine")) {
+  if (options_.max_recoveries_per_committee > kMaxSnAttempt) {
+    // Attempt kSnAttempts would alias the next committee's first sn slot
+    // (sn_layout.hpp), so two instances would share one sequence number.
+    throw std::invalid_argument(
+        "engine: max_recoveries_per_committee must be <= " +
+        std::to_string(kMaxSnAttempt) +
+        " (the sequence-number layout has 16 attempt slots)");
+  }
   randomness_ = crypto::sha256_concat({bytes_of("cyc.genesis.rand"),
                                        be64(params_.seed)});
   build_nodes();
@@ -339,21 +347,13 @@ void Engine::obs_round_end(const RoundReport& report, net::Time round_end) {
     const auto phase = static_cast<net::Phase>(p);
     for (std::size_t t = 0; t < net::kTagCount; ++t) {
       const auto tag = static_cast<net::Tag>(t);
-      const ObsState::Cell& sent = st.sent[p][t];
-      if (sent.msgs != 0) {
-        const std::string base = "net.sent." +
-                                 std::string(net::phase_name(phase)) + "." +
-                                 std::string(net::tag_name(tag));
-        m.counter(base + ".msgs").add(sent.msgs);
-        m.counter(base + ".bytes").add(sent.bytes);
-      }
-      const ObsState::Cell& recv = st.recv[p][t];
-      if (recv.msgs != 0) {
-        const std::string base = "net.recv." +
-                                 std::string(net::phase_name(phase)) + "." +
-                                 std::string(net::tag_name(tag));
-        m.counter(base + ".msgs").add(recv.msgs);
-        m.counter(base + ".bytes").add(recv.bytes);
+      for (const auto& [dir, cell] : {std::pair{"net.sent.", st.sent[p][t]},
+                                      std::pair{"net.recv.", st.recv[p][t]}}) {
+        if (cell.msgs == 0) continue;
+        const std::string base = dir + std::string(net::phase_name(phase)) +
+                                 "." + std::string(net::tag_name(tag));
+        m.counter(base + ".msgs").add(cell.msgs);
+        m.counter(base + ".bytes").add(cell.bytes);
       }
     }
   }
@@ -792,7 +792,6 @@ void Engine::start_round_state() {
     n.pending_cross_votes.clear();
     n.intra_decision.clear();
     n.cross_decision.clear();
-    n.sent_intra_result = false;
     n.cross_in.clear();
     n.cross_in_at.clear();
     n.cross_done.clear();
@@ -1076,6 +1075,23 @@ void Engine::adopt_quorum_scores() {
   }
 }
 
+void Engine::for_each_quorum_result(const QuorumResultFn& fn) const {
+  for (std::uint32_t k = 0; k < params_.m; ++k) {
+    const CommitteeRound& committee = committees_[k];
+    if (committee.intra_result && referee_quorum(committee.intra_acks)) {
+      fn(k, false,
+         wire::IntraDecision::deserialize(*committee.intra_result).txdec_set);
+    }
+    for (const auto& [origin, payload] : committee.cross_results) {
+      auto acks = committee.cross_acks.find(origin);
+      if (acks == committee.cross_acks.end() || !referee_quorum(acks->second)) {
+        continue;
+      }
+      fn(origin, true, wire::CrossResultMsg::deserialize(payload).request.txs);
+    }
+  }
+}
+
 void Engine::finalize_round(RoundReport& report) {
   adopt_quorum_scores();
   report.round_latency = net_->now() - round_start_;
@@ -1132,33 +1148,15 @@ void Engine::finalize_round(RoundReport& report) {
     stats.txs_listed =
         committees_[k].intra_list.size() + committees_[k].cross_list.size();
     report.txs_offered += stats.txs_listed;
-
-    // A stored result counts only once a majority of referees acked the
-    // same bytes: a result that reached just a minority island of a
-    // partitioned C_R never makes it into the block.
-    if (committees_[k].intra_result &&
-        referee_quorum(committees_[k].intra_acks)) {
-      stats.produced_output = true;
-      const auto decision =
-          wire::IntraDecision::deserialize(*committees_[k].intra_result);
-      for (const auto& tx : decision.txdec_set) {
-        add_committed(tx, false, stats);
-      }
-    }
-    for (const auto& [origin, payload] : committees_[k].cross_results) {
-      auto acks = committees_[k].cross_acks.find(origin);
-      if (acks == committees_[k].cross_acks.end() ||
-          !referee_quorum(acks->second)) {
-        continue;
-      }
-      auto& origin_stats = report.committees[origin];
-      const auto result = wire::CrossResultMsg::deserialize(payload);
-      for (const auto& tx : result.request.txs) {
-        add_committed(tx, true, origin_stats);
-      }
-      origin_stats.produced_output = true;
-    }
   }
+  // A stored result counts only once a majority of referees acked the
+  // same bytes, exactly as in the block proposal.
+  for_each_quorum_result([&](std::uint32_t owner, bool cross,
+                             const auto& txs) {
+    auto& stats = report.committees[owner];
+    stats.produced_output = true;
+    for (const auto& tx : txs) add_committed(tx, cross, stats);
+  });
 
   report.txs_committed = committed.size();
   report.block_void = committed.empty();
@@ -1168,8 +1166,7 @@ void Engine::finalize_round(RoundReport& report) {
     ledger::Block block = ledger::Block::build(
         chain_.tip().round + 1, chain_.tip().hash(), next_randomness_,
         committed);
-    const bool ok = chain_.append(block);
-    (void)ok;  // structurally guaranteed; validated again by tests
+    chain_.append(block);  // linkage structurally guaranteed; tests re-check
     last_block_ = std::move(block);  // chain keeps headers only
   }
 
@@ -1329,8 +1326,7 @@ void Engine::compute_selection() {
   // traffic (|C_R|^2 messages) is injected onto the wire for accounting.
   std::vector<std::uint64_t> dealer_secrets;
   rng::Stream beacon_rng = rng_.fork("beacon").fork(round_);
-  for (net::NodeId id : assign_.referees) {
-    (void)id;
+  for (std::size_t i = 0; i < assign_.referees.size(); ++i) {
     dealer_secrets.push_back(beacon_rng.below(crypto::kQ));
   }
   const auto share_payload = net::make_payload(Bytes(24, 0));

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,6 +34,7 @@
 #include "protocol/reputation.hpp"
 #include "protocol/roles.hpp"
 #include "protocol/semicommit.hpp"
+#include "protocol/sn_layout.hpp"
 #include "protocol/sortition.hpp"
 #include "protocol/witness.hpp"
 
@@ -59,6 +61,7 @@ struct EngineOptions {
   /// flat credit at round end, which preserves the incentive ordering.
   double referee_credit = 1.0;
   /// Safety valve on repeated recoveries in one committee and round.
+  /// At most kMaxSnAttempt (sn_layout.hpp); the engine rejects more.
   std::uint32_t max_recoveries_per_committee = 4;
   /// §VIII-A extension: leaders pre-filter cross-shard lists by asking
   /// the destination leader which transactions are valid, excluding
@@ -272,6 +275,8 @@ class Engine {
   obs::Observer* observer() const { return obs_; }
 
  private:
+  friend struct EngineTestPeer;  // test-only access to handle()
+
   // ---- per-node state ----
   struct NodeState {
     net::NodeId id = net::kNoNode;
@@ -317,7 +322,6 @@ class Engine {
     std::map<net::NodeId, std::vector<crypto::SignedMessage>> pending_cross_votes;
     VoteVector intra_decision;                      // leader: tally result
     VoteVector cross_decision;
-    bool sent_intra_result = false;
 
     // inter-committee
     std::map<std::uint32_t, Bytes> cross_in;   // from committee i -> payload
@@ -389,6 +393,8 @@ class Engine {
   void start_round_state();
 
   // ---- phases ----
+  /// Prologue of every phase_*: tag traffic with `phase`, open its span.
+  void enter_phase(net::Phase phase, net::Time at);
   void phase_config(net::Time at);
   void phase_semicommit(net::Time at);
   void phase_intra(net::Time at);
@@ -398,28 +404,29 @@ class Engine {
   void phase_block(net::Time at);
 
   // ---- message handling ----
+  /// Single ingress; holds the only handler-side catch (see README.md).
   void handle(net::NodeId id, const net::Message& msg, net::Time now);
-  void on_config(NodeState& self, const net::Message& msg);
+  /// Alg. 2 registration (kConfig, answered with S) or introduction
+  /// (kMember): verify the sortition ticket, add the key to S.
+  void on_intro(NodeState& self, const net::Message& msg);
   void on_member_list(NodeState& self, const net::Message& msg);
-  void on_member(NodeState& self, const net::Message& msg);
   void on_consensus_msg(NodeState& self, const net::Message& msg,
                         net::Time now);
   void on_semicommit(NodeState& self, const net::Message& msg, net::Time now);
-  void on_semicommit_ack(NodeState& self, const net::Message& msg,
-                         net::Time now);
+  void on_semicommit_ack(NodeState& self, const net::Message& msg);
   void on_txlist(NodeState& self, const net::Message& msg);
   void on_vote(NodeState& self, const net::Message& msg);
   void on_cross_txlist(NodeState& self, const net::Message& msg,
                        net::Time now);
   void on_cross_hint(NodeState& self, const net::Message& msg, net::Time now);
   void on_cross_result(NodeState& self, const net::Message& msg);
-  void on_accuse(NodeState& self, const net::Message& msg, net::Time now);
-  void on_impeach_vote(NodeState& self, const net::Message& msg,
-                       net::Time now);
+  void on_accuse(NodeState& self, const net::Message& msg);
+  void on_impeach_vote(NodeState& self, const net::Message& msg);
   void on_prosecute(NodeState& self, const net::Message& msg, net::Time now);
-  void on_new_leader(NodeState& self, const net::Message& msg, net::Time now);
-  void on_intra_result(NodeState& self, const net::Message& msg);
-  void on_score_report(NodeState& self, const net::Message& msg);
+  void on_new_leader(NodeState& self, const net::Message& msg);
+  /// Referee side of a certified intra result (kIntraResult) or score
+  /// report (kScoreReport): verify, store, ack.
+  void on_certified_result(NodeState& self, const net::Message& msg);
   void on_catchup_request(NodeState& self, const net::Message& msg);
   void on_catchup_reply(NodeState& self, const net::Message& msg);
 
@@ -436,6 +443,18 @@ class Engine {
   bool referee_quorum(const std::set<net::NodeId>& acks) const {
     return acks.size() * 2 > assign_.referees.size();
   }
+  /// Walk the results a referee majority acked, in block order: per
+  /// committee k, its intra TXdecSET, then its cross lists by origin.
+  /// `fn(owner, cross, txs)` gets the committee credited (k for intra,
+  /// the origin for cross). Minority-island results stay out.
+  using QuorumResultFn = std::function<void(
+      std::uint32_t, bool, const std::vector<ledger::Transaction>&)>;
+  void for_each_quorum_result(const QuorumResultFn& fn) const;
+  /// The one quorum-certificate check (§IV-B/§IV-D): `cert` decodes, its
+  /// digest is H(payload), and more than half of `members` confirmed.
+  /// False on malformed bytes; never throws.
+  bool certifies(const Bytes& cert, const Bytes& payload,
+                 const std::vector<crypto::PublicKey>& members) const;
   /// Recompute, for every committee, whether an active partition /
   /// blackout schedule severs it from quorum this round.
   void compute_severed();
@@ -453,6 +472,9 @@ class Engine {
   std::vector<net::NodeId> instance_peers(std::uint32_t scope) const;
   std::size_t instance_size(std::uint32_t scope) const;
 
+  /// Send one shared payload to every referee seat, the sender's too.
+  void send_to_referees(net::NodeId from, net::Tag tag,
+                        const net::PayloadPtr& payload);
   /// Consensus plumbing: wrap + send wires for instance (scope, sn).
   void send_consensus(net::NodeId from, const std::vector<net::NodeId>& to,
                       net::Tag tag, std::uint32_t scope, std::uint64_t sn,
@@ -497,7 +519,7 @@ class Engine {
   void leader_start_cross(std::uint32_t k, net::Time now);
   void leader_handle_cross_in(NodeState& leader, const Bytes& request,
                               net::Time now);
-  void leader_send_scores(std::uint32_t k, net::Time now);
+  void leader_send_scores(std::uint32_t k);
 
   /// Apply score reports that have gathered a referee-majority ack into
   /// pending_scores_ (idempotent; run before selection and finalize).

@@ -11,41 +11,18 @@
 
 namespace cyc::protocol {
 
-namespace {
-
-// Sequence-number layout per scope (unique and monotone per instance as
-// the paper requires; attempts after recovery get fresh numbers).
-constexpr std::uint64_t sn_intra(std::uint32_t attempt) { return 100 + attempt; }
-constexpr std::uint64_t sn_score(std::uint32_t attempt) { return 150 + attempt; }
-constexpr std::uint64_t sn_utxo(std::uint32_t attempt) { return 180 + attempt; }
-std::uint64_t sn_cross_out(std::uint32_t dest, std::uint32_t attempt) {
-  return 1000 + static_cast<std::uint64_t>(dest) * 16 + attempt;
-}
-std::uint64_t sn_cross_in(std::uint32_t origin, std::uint32_t attempt) {
-  return 100000 + static_cast<std::uint64_t>(origin) * 16 + attempt;
-}
-// Referee scope:
-std::uint64_t sn_semi_check(std::uint32_t k) { return 1000 + k; }
-constexpr std::uint64_t kSnBlock = 1;
-std::uint64_t sn_reselect(std::uint32_t k, std::uint32_t attempt) {
-  return 5000 + static_cast<std::uint64_t>(k) * 16 + attempt;
-}
-
-bool is_cross_in_sn(std::uint64_t sn) { return sn >= 100000; }
-std::uint32_t cross_in_origin(std::uint64_t sn) {
-  return static_cast<std::uint32_t>((sn - 100000) / 16);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Phase drivers
 // ---------------------------------------------------------------------------
 
+void Engine::enter_phase(net::Phase phase, net::Time at) {
+  net_->set_phase(phase);
+  current_phase_ = phase;
+  obs_phase(phase, at);
+}
+
 void Engine::phase_config(net::Time at) {
-  net_->set_phase(net::Phase::kCommitteeConfig);
-  current_phase_ = net::Phase::kCommitteeConfig;
-  obs_phase(net::Phase::kCommitteeConfig, at);
+  enter_phase(net::Phase::kCommitteeConfig, at);
   // Key members seed their list S with the committee's key members
   // (addresses known from block B^{r-1}).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
@@ -79,31 +56,23 @@ void Engine::phase_config(net::Time at) {
     n.catchup_attempts += 1;
     Writer w;
     w.u32(n.id);
-    const auto payload = net::make_payload(w.take());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(n.id, rm, net::Tag::kCatchUpRequest, payload);
-    }
+    send_to_referees(n.id, net::Tag::kCatchUpRequest,
+                     net::make_payload(w.take()));
   }
-  (void)at;
 }
 
 void Engine::phase_semicommit(net::Time at) {
-  net_->set_phase(net::Phase::kSemiCommit);
-  current_phase_ = net::Phase::kSemiCommit;
-  obs_phase(net::Phase::kSemiCommit, at);
+  enter_phase(net::Phase::kSemiCommit, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     leader_send_semicommit(nodes_[committees_[k].current_leader], k);
   }
   // A silent leader is only impeachable once common members can
   // corroborate the silence (they never see SEMI_COM traffic), so the
   // timeout accusation for crashed leaders fires at the intra deadline.
-  (void)at;
 }
 
 void Engine::phase_intra(net::Time at) {
-  net_->set_phase(net::Phase::kIntraConsensus);
-  current_phase_ = net::Phase::kIntraConsensus;
-  obs_phase(net::Phase::kIntraConsensus, at);
+  enter_phase(net::Phase::kIntraConsensus, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     leader_start_intra(k, at);
   }
@@ -137,27 +106,21 @@ void Engine::phase_intra(net::Time at) {
 }
 
 void Engine::phase_inter(net::Time at) {
-  net_->set_phase(net::Phase::kInterConsensus);
-  current_phase_ = net::Phase::kInterConsensus;
-  obs_phase(net::Phase::kInterConsensus, at);
+  enter_phase(net::Phase::kInterConsensus, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     leader_start_cross(k, at);
   }
 }
 
 void Engine::phase_reputation(net::Time at) {
-  net_->set_phase(net::Phase::kReputation);
-  current_phase_ = net::Phase::kReputation;
-  obs_phase(net::Phase::kReputation, at);
+  enter_phase(net::Phase::kReputation, at);
   for (std::uint32_t k = 0; k < params_.m; ++k) {
-    leader_send_scores(k, at);
+    leader_send_scores(k);
   }
 }
 
 void Engine::phase_selection(net::Time at) {
-  net_->set_phase(net::Phase::kSelection);
-  current_phase_ = net::Phase::kSelection;
-  obs_phase(net::Phase::kSelection, at);
+  enter_phase(net::Phase::kSelection, at);
   // Adopt the quorum-acked score reports before compute_selection reads
   // the effective reputations (finalize_round re-runs this for reports
   // whose quorum completed later in the round).
@@ -173,10 +136,8 @@ void Engine::phase_selection(net::Time at) {
     const auto solution = crypto::pow_solve(per_node, target, 0, 1u << 20);
     if (!solution) continue;
     wire::PowMsg msg{n.id, n.keys.pk, solution->nonce, solution->digest};
-    const auto payload = net::make_payload(msg.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(n.id, rm, net::Tag::kPowSolution, payload);
-    }
+    send_to_referees(n.id, net::Tag::kPowSolution,
+                     net::make_payload(msg.serialize()));
   }
   const net::Time when =
       at + 0.8 * params_.selection_duration * params_.delays.delta;
@@ -184,57 +145,36 @@ void Engine::phase_selection(net::Time at) {
 }
 
 void Engine::phase_block(net::Time at) {
-  net_->set_phase(net::Phase::kBlock);
-  current_phase_ = net::Phase::kBlock;
-  obs_phase(net::Phase::kBlock, at);
+  enter_phase(net::Phase::kBlock, at);
   // The designated referee proposes the block content; C_R agrees via
   // Algorithm 3; on certification the block is released to everyone.
-  const net::NodeId proposer = designated_referee(kSnBlock);
-  NodeState& referee = nodes_[proposer];
+  const std::uint64_t sn_block = sn_encode(SnKind::kBlock, 0, 0);
+  NodeState& referee = nodes_[designated_referee(sn_block)];
   wire::BlockMsg block;
   block.round = round_;
-  // Only results a majority of referees acked enter the proposal — a
-  // result stranded on a minority island of a partitioned C_R stays out.
-  for (std::uint32_t k = 0; k < params_.m; ++k) {
-    if (committees_[k].intra_result &&
-        referee_quorum(committees_[k].intra_acks)) {
-      const auto decision =
-          wire::IntraDecision::deserialize(*committees_[k].intra_result);
-      for (const auto& tx : decision.txdec_set) block.txs.push_back(tx);
-    }
-    for (const auto& [origin, payload] : committees_[k].cross_results) {
-      auto acks = committees_[k].cross_acks.find(origin);
-      if (acks == committees_[k].cross_acks.end() ||
-          !referee_quorum(acks->second)) {
-        continue;
-      }
-      const auto result = wire::CrossResultMsg::deserialize(payload);
-      for (const auto& tx : result.request.txs) block.txs.push_back(tx);
-    }
-  }
+  for_each_quorum_result([&](std::uint32_t, bool, const auto& txs) {
+    block.txs.insert(block.txs.end(), txs.begin(), txs.end());
+  });
   block.randomness = next_randomness_;
   std::vector<Bytes> leaves;
   leaves.reserve(block.txs.size());
   for (const auto& tx : block.txs) leaves.push_back(tx.serialize());
   block.body_root = crypto::MerkleTree(leaves).root();
   block_payload_ = block.serialize();
-  leader_start_instance(referee, params_.m, kSnBlock, block_payload_);
+  leader_start_instance(referee, params_.m, sn_block, block_payload_);
   // Committee leaders also certify their final UTXO list for hand-off to
   // the next round's partial sets (§IV-G).
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     NodeState& leader = nodes_[committees_[k].current_leader];
-    if (!leader.is_active(round_) ||
-        (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash)) {
-      continue;
-    }
+    if (!leader.is_active(round_)) continue;
     Writer w;
     w.str("UTXO_FINAL");
     w.u32(k);
     w.bytes(crypto::digest_to_bytes(leader.utxo.digest()));
-    leader_start_instance(leader, k, sn_utxo(committees_[k].attempt),
-                          w.take());
+    leader_start_instance(
+        leader, k, sn_encode(SnKind::kUtxo, 0, committees_[k].attempt),
+        w.take());
   }
-  (void)at;
 }
 
 // ---------------------------------------------------------------------------
@@ -246,38 +186,38 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
   // Catch-up traffic bypasses the activity gate: a catching-up node is
   // inactive for the protocol proper but must still receive the referee
   // replies that let it rejoin. The handlers re-check roles themselves.
-  if (msg.tag == net::Tag::kCatchUpRequest) {
-    on_catchup_request(self, msg);
-    return;
-  }
-  if (msg.tag == net::Tag::kCatchUpReply) {
-    on_catchup_reply(self, msg);
-    return;
-  }
-  if (!self.is_active(round_)) return;  // crashed: pretend offline
+  const bool catchup = msg.tag == net::Tag::kCatchUpRequest ||
+                       msg.tag == net::Tag::kCatchUpReply;
+  if (!catchup && !self.is_active(round_)) return;  // crashed: pretend offline
   try {
     switch (msg.tag) {
-      case net::Tag::kConfig: on_config(self, msg); break;
+      case net::Tag::kCatchUpRequest: on_catchup_request(self, msg); break;
+      case net::Tag::kCatchUpReply: on_catchup_reply(self, msg); break;
+      case net::Tag::kConfig:
+      case net::Tag::kMember:
+        on_intro(self, msg);
+        break;
       case net::Tag::kMemberList: on_member_list(self, msg); break;
-      case net::Tag::kMember: on_member(self, msg); break;
       case net::Tag::kPropose:
       case net::Tag::kEcho:
       case net::Tag::kConfirm:
         on_consensus_msg(self, msg, now);
         break;
       case net::Tag::kSemiCommit: on_semicommit(self, msg, now); break;
-      case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg, now); break;
+      case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg); break;
       case net::Tag::kTxList: on_txlist(self, msg); break;
       case net::Tag::kVote: on_vote(self, msg); break;
       case net::Tag::kCrossTxList: on_cross_txlist(self, msg, now); break;
       case net::Tag::kCrossPartialHint: on_cross_hint(self, msg, now); break;
       case net::Tag::kCrossResult: on_cross_result(self, msg); break;
-      case net::Tag::kScoreReport: on_score_report(self, msg); break;
-      case net::Tag::kIntraResult: on_intra_result(self, msg); break;
-      case net::Tag::kAccuse: on_accuse(self, msg, now); break;
-      case net::Tag::kImpeachVote: on_impeach_vote(self, msg, now); break;
+      case net::Tag::kScoreReport:
+      case net::Tag::kIntraResult:
+        on_certified_result(self, msg);
+        break;
+      case net::Tag::kAccuse: on_accuse(self, msg); break;
+      case net::Tag::kImpeachVote: on_impeach_vote(self, msg); break;
       case net::Tag::kProsecute: on_prosecute(self, msg, now); break;
-      case net::Tag::kNewLeader: on_new_leader(self, msg, now); break;
+      case net::Tag::kNewLeader: on_new_leader(self, msg); break;
       case net::Tag::kPowSolution: {
         if (self.role != Role::kReferee) break;
         const auto pow = wire::PowMsg::deserialize(msg.payload());
@@ -294,8 +234,9 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
         }
         break;
       }
-      case net::Tag::kBlock: {
-        // Members refresh their shard view from the released block.
+      case net::Tag::kBlock:
+      case net::Tag::kSubBlock: {
+        // Members refresh their shard view from the released (sub-)block.
         if (self.committee >= 0) {
           const auto block = wire::BlockMsg::deserialize(msg.payload());
           for (const auto& tx : block.txs) self.utxo.apply(tx);
@@ -321,26 +262,13 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
         }
         break;
       }
-      case net::Tag::kSubBlock: {
-        if (self.committee >= 0) {
-          const auto sub = wire::BlockMsg::deserialize(msg.payload());
-          for (const auto& tx : sub.txs) self.utxo.apply(tx);
-        }
-        break;
-      }
-      case net::Tag::kScoreList:
-      case net::Tag::kAbort:
-      case net::Tag::kUtxoHandoff:
-      case net::Tag::kBeaconShare:
-      case net::Tag::kPreCommQuery:
-      case net::Tag::kPreCommReply:
-        break;  // accounted, no further state transitions needed
       default:
-        break;
+        break;  // accounted traffic with no state transition
     }
   } catch (const std::exception&) {
-    // Malformed payloads from adversarial senders are dropped silently;
-    // honest code never produces them.
+    // The one handler-side catch, see src/protocol/README.md: a
+    // malformed payload from an adversarial sender ends its handler
+    // before any state change; honest code never produces one.
   }
 }
 
@@ -348,9 +276,15 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
 // Committee configuration (Alg. 2)
 // ---------------------------------------------------------------------------
 
-void Engine::on_config(NodeState& self, const net::Message& msg) {
-  if (self.role != Role::kLeader && self.role != Role::kPartial) return;
-  if (self.misbehaves(round_) && self.behavior == Behavior::kCrash) return;
+void Engine::on_intro(NodeState& self, const net::Message& msg) {
+  // kConfig: a newcomer registers with a key member, who answers with its
+  // list S first (Alg. 2). kMember: a member found on such a list
+  // introduces itself.
+  const bool registering = msg.tag == net::Tag::kConfig;
+  if (registering && self.role != Role::kLeader &&
+      self.role != Role::kPartial) {
+    return;
+  }
   const auto intro = wire::Intro::deserialize(msg.payload());
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
     return;
@@ -359,14 +293,14 @@ void Engine::on_config(NodeState& self, const net::Message& msg) {
                         intro.ticket)) {
     return;
   }
-  // Respond with the current list, then register the newcomer.
-  wire::MemberListMsg list;
-  for (const auto& pk : self.member_list) {
-    const net::NodeId nid = node_of_pk(pk);
-    list.nodes.push_back(nid);
-    list.pks.push_back(pk);
+  if (registering) {
+    wire::MemberListMsg list;
+    for (const auto& pk : self.member_list) {
+      list.nodes.push_back(node_of_pk(pk));
+      list.pks.push_back(pk);
+    }
+    net_->send(self.id, intro.node, net::Tag::kMemberList, list.serialize());
   }
-  net_->send(self.id, intro.node, net::Tag::kMemberList, list.serialize());
   if (self.known_pks.insert(intro.pk.y).second) {
     self.member_list.push_back(intro.pk);
   }
@@ -390,20 +324,6 @@ void Engine::on_member_list(NodeState& self, const net::Message& msg) {
   }
 }
 
-void Engine::on_member(NodeState& self, const net::Message& msg) {
-  const auto intro = wire::Intro::deserialize(msg.payload());
-  if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
-    return;
-  }
-  if (!verify_sortition(intro.pk, round_, randomness_, params_.m,
-                        intro.ticket)) {
-    return;
-  }
-  if (self.known_pks.insert(intro.pk.y).second) {
-    self.member_list.push_back(intro.pk);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Algorithm 3 plumbing
 // ---------------------------------------------------------------------------
@@ -414,6 +334,13 @@ void Engine::send_consensus(net::NodeId from,
                             const Bytes& wire) {
   wire::ConsensusEnvelope env{scope, sn, wire};
   net_->multicast(from, to, tag, env.serialize());
+}
+
+void Engine::send_to_referees(net::NodeId from, net::Tag tag,
+                              const net::PayloadPtr& payload) {
+  for (net::NodeId rm : assign_.referees) {
+    net_->send_shared(from, rm, tag, payload);
+  }
 }
 
 void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
@@ -535,8 +462,11 @@ void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
   consensus::MemberOutput out;
   if (msg.tag == net::Tag::kPropose) {
     // Track leader engagement for the 2*Gamma concealment rule.
-    if (env.scope < params_.m && is_cross_in_sn(env.sn)) {
-      self.cross_seen_propose.insert(cross_in_origin(env.sn));
+    if (env.scope < params_.m) {
+      const SnSlot slot = sn_decode(env.sn, /*referee_scope=*/false);
+      if (slot.kind == SnKind::kCrossIn) {
+        self.cross_seen_propose.insert(slot.index);
+      }
     }
     out = it->second.on_propose(consensus::ProposeWire::deserialize(env.wire));
   } else {
@@ -564,18 +494,19 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
                           static_cast<double>(cert.confirms.size())}});
     obs_->metrics.counter("consensus.certs").add();
   }
-  if (scope == params_.m) {
-    // Referee-scope instances.
-    if (sn == kSnBlock) {
-      // Block certified.
-      auto it = self.lead.find(sn);
-      if (it == self.lead.end()) return;
+  const bool referee_scope = scope == params_.m;
+  // Committee-scope instances: only the current leader acts on certs.
+  if (!referee_scope && self.id != committees_[scope].current_leader) return;
+  const std::uint32_t k = scope;
+  const SnSlot slot = sn_decode(sn, referee_scope);
+  switch (slot.kind) {
+    case SnKind::kBlock: {
       if (options_.extension_parallel_blocks) {
         // §VIII-B: C_R only issues permissions; each leader broadcasts
         // its own sub-block, removing the O(mn) burden from C_R.
         const auto permit = net::make_payload(Bytes(40, 0));
-        for (std::uint32_t k = 0; k < params_.m; ++k) {
-          net_->send_shared(self.id, committees_[k].current_leader,
+        for (std::uint32_t j = 0; j < params_.m; ++j) {
+          net_->send_shared(self.id, committees_[j].current_leader,
                             net::Tag::kBlockPermit, permit);
         }
         return;
@@ -589,19 +520,16 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       }
       return;
     }
-    if (sn >= 5000 && sn < 100000) {
+    case SnKind::kReselect:
       // Leader re-selection agreed: announce the new leader.
-      const std::uint32_t k = static_cast<std::uint32_t>((sn - 5000) / 16);
-      announce_new_leader(self, k);
+      announce_new_leader(self, slot.index);
       return;
-    }
-    if (sn >= 1000 && sn < 5000) {
+    case SnKind::kSemiCheck: {
       // Semi-commitment accepted by C_R: relay to all key members.
-      const std::uint32_t k = static_cast<std::uint32_t>(sn - 1000);
       wire::SemiCommitAck ack;
-      ack.committee = k;
-      auto cit = self.commitments.find(k);
-      auto lit = self.lists.find(k);
+      ack.committee = slot.index;
+      auto cit = self.commitments.find(slot.index);
+      auto lit = self.lists.find(slot.index);
       if (cit == self.commitments.end() || lit == self.lists.end()) return;
       ack.commitment = cit->second;
       ack.members = lit->second;
@@ -614,86 +542,67 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       }
       return;
     }
-    return;
-  }
-
-  // Committee-scope instances: only the current leader acts on certs.
-  if (self.id != committees_[scope].current_leader) return;
-  const std::uint32_t k = scope;
-
-  if (sn >= 100 && sn < 150) {
-    // Intra-committee decision certified -> report to C_R (Alg. 5 l.19).
-    auto it = self.lead.find(sn);
-    if (it == self.lead.end()) return;
-    wire::CertifiedResult result;
-    result.payload = committees_[k].pending_intra_payload;
-    result.cert = cert.serialize();
-    const auto payload = net::make_payload(result.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kIntraResult, payload);
+    case SnKind::kIntra:
+    case SnKind::kScore: {
+      // Intra-committee decision (Alg. 5 l.19) or ScoreList (§IV-E)
+      // certified -> report to C_R.
+      const bool intra = slot.kind == SnKind::kIntra;
+      wire::CertifiedResult result;
+      result.payload = intra ? committees_[k].pending_intra_payload
+                             : committees_[k].pending_score_payload;
+      result.cert = cert.serialize();
+      send_to_referees(
+          self.id, intra ? net::Tag::kIntraResult : net::Tag::kScoreReport,
+          net::make_payload(result.serialize()));
+      return;
     }
-    self.sent_intra_result = true;
-    return;
-  }
-  if (sn >= 150 && sn < 180) {
-    // ScoreList certified -> report to C_R (§IV-E).
-    wire::CertifiedResult result;
-    result.payload = committees_[k].pending_score_payload;
-    result.cert = cert.serialize();
-    const auto payload = net::make_payload(result.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kScoreReport, payload);
+    case SnKind::kUtxo: {
+      // Final UTXO list certified -> hand off to C_R, which forwards to the
+      // next round's partial sets (§IV-G).
+      Writer w;
+      w.u32(k);
+      w.bytes(crypto::digest_to_bytes(self.utxo.digest()));
+      w.bytes(cert.serialize());
+      send_to_referees(self.id, net::Tag::kUtxoHandoff,
+                       net::make_payload(w.take()));
+      return;
     }
-    return;
-  }
-  if (sn >= 180 && sn < 200) {
-    // Final UTXO list certified -> hand off to C_R, which forwards to the
-    // next round's partial sets (§IV-G).
-    Writer w;
-    w.u32(k);
-    w.bytes(crypto::digest_to_bytes(self.utxo.digest()));
-    w.bytes(cert.serialize());
-    const auto payload = net::make_payload(w.take());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kUtxoHandoff, payload);
+    case SnKind::kCrossOut: {
+      // Cross-out list certified -> send to destination leader and its
+      // partial set (§IV-D; the hint enables the 2*Gamma rule of Lemma 7).
+      const std::uint32_t dest = slot.index;
+      auto pit = committees_[k].pending_cross_out.find(dest);
+      if (pit == committees_[k].pending_cross_out.end()) return;
+      wire::CrossTxListMsg request =
+          wire::CrossTxListMsg::deserialize(pit->second);
+      request.origin_cert = cert.serialize();
+      pit->second = request.serialize();
+      const auto payload = net::make_payload(pit->second);
+      net_->send_shared(self.id, committees_[dest].current_leader,
+                        net::Tag::kCrossTxList, payload);
+      for (net::NodeId pm : assign_.committees[dest].partial) {
+        net_->send_shared(self.id, pm, net::Tag::kCrossPartialHint, payload);
+      }
+      return;
     }
-    return;
-  }
-  if (sn >= 1000 && sn < 100000) {
-    // Cross-out list certified -> send to destination leader and its
-    // partial set (§IV-D; the hint enables the 2*Gamma rule of Lemma 7).
-    const std::uint32_t dest = static_cast<std::uint32_t>((sn - 1000) / 16);
-    auto pit = committees_[k].pending_cross_out.find(dest);
-    if (pit == committees_[k].pending_cross_out.end()) return;
-    wire::CrossTxListMsg request =
-        wire::CrossTxListMsg::deserialize(pit->second);
-    request.origin_cert = cert.serialize();
-    pit->second = request.serialize();
-    const auto payload = net::make_payload(pit->second);
-    const net::NodeId dest_leader = committees_[dest].current_leader;
-    net_->send_shared(self.id, dest_leader, net::Tag::kCrossTxList, payload);
-    for (net::NodeId pm : assign_.committees[dest].partial) {
-      net_->send_shared(self.id, pm, net::Tag::kCrossPartialHint, payload);
+    case SnKind::kCrossIn: {
+      // Acceptance certified -> reply to the origin leader and inform C_R.
+      const std::uint32_t origin = slot.index;
+      auto rit = self.cross_in.find(origin);
+      if (rit == self.cross_in.end()) return;
+      wire::CrossResultMsg result;
+      result.request = wire::CrossTxListMsg::deserialize(rit->second);
+      result.dest_cert = cert.serialize();
+      result.dest_members = committee_pks(k);
+      const auto payload = net::make_payload(result.serialize());
+      net_->send_shared(self.id, committees_[origin].current_leader,
+                        net::Tag::kCrossResult, payload);
+      send_to_referees(self.id, net::Tag::kCrossResult, payload);
+      self.cross_done.insert(origin);
+      return;
     }
-    return;
-  }
-  if (is_cross_in_sn(sn)) {
-    // Acceptance certified -> reply to the origin leader and inform C_R.
-    const std::uint32_t origin = cross_in_origin(sn);
-    auto rit = self.cross_in.find(origin);
-    if (rit == self.cross_in.end()) return;
-    wire::CrossResultMsg result;
-    result.request = wire::CrossTxListMsg::deserialize(rit->second);
-    result.dest_cert = cert.serialize();
-    result.dest_members = committee_pks(k);
-    const auto payload = net::make_payload(result.serialize());
-    net_->send_shared(self.id, committees_[origin].current_leader,
-                      net::Tag::kCrossResult, payload);
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kCrossResult, payload);
-    }
-    self.cross_done.insert(origin);
-    return;
+    case SnKind::kNone:
+      return;
   }
 }
 

@@ -11,19 +11,6 @@
 namespace cyc::protocol {
 
 namespace {
-constexpr std::uint64_t sn_intra(std::uint32_t attempt) { return 100 + attempt; }
-constexpr std::uint64_t sn_score(std::uint32_t attempt) { return 150 + attempt; }
-std::uint64_t sn_cross_out(std::uint32_t dest, std::uint32_t attempt) {
-  return 1000 + static_cast<std::uint64_t>(dest) * 16 + attempt;
-}
-std::uint64_t sn_cross_in(std::uint32_t origin, std::uint32_t attempt) {
-  return 100000 + static_cast<std::uint64_t>(origin) * 16 + attempt;
-}
-std::uint64_t sn_semi_check(std::uint32_t k) { return 1000 + k; }
-std::uint64_t sn_reselect(std::uint32_t k, std::uint32_t attempt) {
-  return 5000 + static_cast<std::uint64_t>(k) * 16 + attempt;
-}
-
 crypto::Digest vlist_digest(const std::map<net::NodeId, VoteVector>& votes) {
   Writer w;
   for (const auto& [id, vote] : votes) {
@@ -58,9 +45,7 @@ void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
   msg.list_msg =
       crypto::make_signed(leader.keys, member_list_payload(round_, k, list));
   const auto payload = net::make_payload(msg.serialize());
-  for (net::NodeId rm : assign_.referees) {
-    net_->send_shared(leader.id, rm, net::Tag::kSemiCommit, payload);
-  }
+  send_to_referees(leader.id, net::Tag::kSemiCommit, payload);
   for (net::NodeId pm : assign_.committees[k].partial) {
     if (pm == leader.id) continue;
     net_->send_shared(leader.id, pm, net::Tag::kSemiCommit, payload);
@@ -90,7 +75,8 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
       // contradiction, so this is a transferable witness (§V-D).
       // Only the referee designated to drive the re-selection instance
       // convicts (every honest referee sees the same contradiction).
-      const std::uint64_t sn = sn_reselect(k, committees_[k].attempt);
+      const std::uint64_t sn =
+          sn_encode(SnKind::kReselect, k, committees_[k].attempt);
       if (options_.recovery_enabled && !committees_[k].leader_convicted &&
           designated_referee(sn) == self.id) {
         CommitmentMismatchWitness witness{sc.list_msg, sc.commitment_msg};
@@ -123,7 +109,7 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
     }
     // The designated referee additionally drives the C_R agreement on
     // this commitment (each referee "is regarded as the leader", §IV-B).
-    const std::uint64_t sn = sn_semi_check(k);
+    const std::uint64_t sn = sn_encode(SnKind::kSemiCheck, k, 0);
     if (designated_referee(sn) == self.id) {
       Writer w;
       w.str("SEMI_CHECK");
@@ -160,13 +146,11 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
   }
 }
 
-void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg,
-                               net::Time now) {
+void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
   const auto ack = wire::SemiCommitAck::deserialize(msg.payload());
   if (ack.committee >= params_.m) return;
   self.commitments[ack.committee] = ack.commitment;
   self.lists[ack.committee] = ack.members;
-  (void)now;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +234,6 @@ VoteVector Engine::tally(const std::map<net::NodeId, VoteVector>& votes,
 void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
   if (!leader.is_active(round_)) return;
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
 
   const auto& txs = committees_[k].intra_list;
   wire::TxListMsg msg;
@@ -285,7 +268,7 @@ void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
     }
     decision.vlist_digest = vlist_digest(leader.votes);
     committees_[k].pending_intra_payload = decision.serialize();
-    leader_start_instance(leader, k, sn_intra(attempt),
+    leader_start_instance(leader, k, sn_encode(SnKind::kIntra, 0, attempt),
                           committees_[k].pending_intra_payload);
   });
 }
@@ -314,6 +297,7 @@ void Engine::on_txlist(NodeState& self, const net::Message& msg) {
 
 void Engine::on_vote(NodeState& self, const net::Message& msg) {
   auto vote = wire::VoteMsg::deserialize(msg.payload());
+  if (vote.committee >= params_.m) return;
   if (self.id != committees_[vote.committee].current_leader) return;
   if (vote.attempt != committees_[vote.committee].attempt) return;
   const net::NodeId voter = node_of_pk(vote.signed_vote.signer);
@@ -357,7 +341,6 @@ void Engine::leader_flush_votes(NodeState& leader, bool cross) {
 void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
   NodeState& leader = nodes_[committees_[k].current_leader];
   if (!leader.is_active(round_)) return;
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
   if (committees_[k].cross_list.empty()) return;
 
   if (options_.extension_precommunication) {
@@ -426,7 +409,8 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
       // The origin cert is attached in on_cert once Alg. 3 completes;
       // store the request now.
       committees_[k].pending_cross_out[dest] = request.serialize();
-      leader_start_instance(leader, k, sn_cross_out(dest, attempt),
+      leader_start_instance(leader, k,
+                            sn_encode(SnKind::kCrossOut, dest, attempt),
                             request.agreed_payload());
     }
   });
@@ -447,12 +431,7 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
   auto cit = leader.commitments.find(req.origin);
   if (cit == leader.commitments.end()) return;
   if (!verify_semi_commitment(cit->second, req.origin_members)) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-    wire::CrossTxListMsg canonical = req;
-    if (cert.digest != crypto::sha256(canonical.agreed_payload())) return;
-    if (!cert.verify(req.origin_members, req.origin_members.size())) return;
-  } catch (const std::exception&) {
+  if (!certifies(req.origin_cert, req.agreed_payload(), req.origin_members)) {
     return;
   }
 
@@ -462,7 +441,8 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
   // Reach committee agreement on the acceptance (the C_j side of §IV-D).
   wire::CrossResultMsg result;
   result.request = req;
-  leader_start_instance(leader, k, sn_cross_in(req.origin, req.attempt),
+  leader_start_instance(leader, k,
+                        sn_encode(SnKind::kCrossIn, req.origin, req.attempt),
                         result.acceptance_payload());
 }
 
@@ -480,6 +460,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
     // >C/2 member signatures, so origin leader and referees reject it;
     // the partial set's 2*Gamma rule then evicts the imitator.
     const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+    if (req.origin >= params_.m) return;
     wire::CrossResultMsg forged;
     forged.request = req;
     consensus::QuorumCert fake;
@@ -492,9 +473,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
     const auto payload = net::make_payload(forged.serialize());
     net_->send_shared(self.id, committees_[req.origin].current_leader,
                       net::Tag::kCrossResult, payload);
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kCrossResult, payload);
-    }
+    send_to_referees(self.id, net::Tag::kCrossResult, payload);
     return;
   }
   leader_handle_cross_in(self, msg.payload(), now);
@@ -552,26 +531,10 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   if (oc == self.commitments.end() || dc == self.commitments.end()) return;
   if (!verify_semi_commitment(oc->second, result.request.origin_members)) return;
   if (!verify_semi_commitment(dc->second, result.dest_members)) return;
-  try {
-    wire::CrossTxListMsg canonical = result.request;
-    const auto origin_cert =
-        consensus::QuorumCert::deserialize(result.request.origin_cert);
-    if (origin_cert.digest != crypto::sha256(canonical.agreed_payload())) return;
-    if (!origin_cert.verify(result.request.origin_members,
-                            result.request.origin_members.size())) {
-      return;
-    }
-    const auto dest_cert = consensus::QuorumCert::deserialize(result.dest_cert);
-    wire::CrossResultMsg canonical_result;
-    canonical_result.request = result.request;
-    if (dest_cert.digest !=
-        crypto::sha256(canonical_result.acceptance_payload())) {
-      return;
-    }
-    if (!dest_cert.verify(result.dest_members, result.dest_members.size())) {
-      return;
-    }
-  } catch (const std::exception&) {
+  if (!certifies(result.request.origin_cert, result.request.agreed_payload(),
+                 result.request.origin_members) ||
+      !certifies(result.dest_cert, result.acceptance_payload(),
+                 result.dest_members)) {
     return;
   }
   auto stored = committees_[dest].cross_results.find(origin);
@@ -587,59 +550,34 @@ void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
 // Results reaching the referee committee
 // ---------------------------------------------------------------------------
 
-void Engine::on_intra_result(NodeState& self, const net::Message& msg) {
+void Engine::on_certified_result(NodeState& self, const net::Message& msg) {
   // Every referee verifies the certificate independently and acks the
   // stored bytes; the result is only *used* once a majority acked (the
-  // quorum gate in phase_block / finalize_round). A duplicate delivery
-  // cannot double-ack (acks are keyed by referee id), and a partitioned
-  // minority of C_R can never push a result into the block alone.
+  // quorum gate of for_each_quorum_result / adopt_quorum_scores). A
+  // duplicate delivery cannot double-ack (acks are keyed by referee id),
+  // and a partitioned minority of C_R can never push a result into the
+  // block alone. Score reports are applied at the start of the selection
+  // phase, not here.
   if (self.role != Role::kReferee) return;
   const auto result = wire::CertifiedResult::deserialize(msg.payload());
-  const auto decision = wire::IntraDecision::deserialize(result.payload);
-  if (decision.committee >= params_.m) return;
-  auto& committee = committees_[decision.committee];
-  if (committee.intra_acks.contains(self.id)) return;
-  auto lit = self.lists.find(decision.committee);
+  const bool intra = msg.tag == net::Tag::kIntraResult;
+  const std::uint32_t k =
+      intra ? wire::IntraDecision::deserialize(result.payload).committee
+            : wire::ScoreListMsg::deserialize(result.payload).committee;
+  if (k >= params_.m) return;
+  CommitteeRound& committee = committees_[k];
+  auto& slot = intra ? committee.intra_result : committee.score_report;
+  auto& acks = intra ? committee.intra_acks : committee.score_acks;
+  if (acks.contains(self.id)) return;
+  auto lit = self.lists.find(k);
   if (lit == self.lists.end()) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(result.cert);
-    if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(lit->second, lit->second.size())) return;
-  } catch (const std::exception&) {
-    return;
-  }
-  if (!committee.intra_result) {
-    committee.intra_result = result.payload;
-  } else if (*committee.intra_result != result.payload) {
+  if (!certifies(result.cert, result.payload, lit->second)) return;
+  if (!slot) {
+    slot = result.payload;
+  } else if (*slot != result.payload) {
     return;  // conflicting certified payload: never ack a mismatch
   }
-  committee.intra_acks.insert(self.id);
-}
-
-void Engine::on_score_report(NodeState& self, const net::Message& msg) {
-  if (self.role != Role::kReferee) return;
-  const auto result = wire::CertifiedResult::deserialize(msg.payload());
-  const auto scores = wire::ScoreListMsg::deserialize(result.payload);
-  if (scores.committee >= params_.m) return;
-  auto& committee = committees_[scores.committee];
-  if (committee.score_acks.contains(self.id)) return;
-  auto lit = self.lists.find(scores.committee);
-  if (lit == self.lists.end()) return;
-  try {
-    const auto cert = consensus::QuorumCert::deserialize(result.cert);
-    if (cert.digest != crypto::sha256(result.payload)) return;
-    if (!cert.verify(lit->second, lit->second.size())) return;
-  } catch (const std::exception&) {
-    return;
-  }
-  if (!committee.score_report) {
-    committee.score_report = result.payload;
-  } else if (*committee.score_report != result.payload) {
-    return;
-  }
-  committee.score_acks.insert(self.id);
-  // Scores are applied at the start of the selection phase, once the
-  // report has gathered a referee majority — not here.
+  acks.insert(self.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -649,13 +587,8 @@ void Engine::on_score_report(NodeState& self, const net::Message& msg) {
 void Engine::on_catchup_request(NodeState& self, const net::Message& msg) {
   // Only active referee seats serve state; anyone else ignores the ask.
   if (self.role != Role::kReferee || !self.is_active(round_)) return;
-  net::NodeId who = net::kNoNode;
-  try {
-    Reader r(msg.payload());
-    who = r.u32();
-  } catch (const std::exception&) {
-    return;
-  }
+  Reader r(msg.payload());
+  const net::NodeId who = r.u32();
   if (who >= nodes_.size() || who != msg.from) return;
   crypto::Digest digest = catchup_state_digest(chain_.tip().hash(),
                                                shard_state_);
@@ -677,13 +610,8 @@ void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
       assign_.referees.end()) {
     return;
   }
-  Bytes digest_bytes;
-  try {
-    Reader r(msg.payload());
-    digest_bytes = r.bytes();
-  } catch (const std::exception&) {
-    return;
-  }
+  Reader r(msg.payload());
+  const Bytes digest_bytes = r.bytes();
   if (digest_bytes.size() != self.adopted_digest.size()) return;
   // Tally by digest, keyed by distinct signer: duplicated deliveries of
   // one referee's reply can never fake a majority.
@@ -715,10 +643,9 @@ void Engine::on_catchup_reply(NodeState& self, const net::Message& msg) {
 // Reputation (§IV-E)
 // ---------------------------------------------------------------------------
 
-void Engine::leader_send_scores(std::uint32_t k, net::Time now) {
+void Engine::leader_send_scores(std::uint32_t k) {
   NodeState& leader = nodes_[committees_[k].current_leader];
   if (!leader.is_active(round_)) return;
-  if (leader.misbehaves(round_) && leader.behavior == Behavior::kCrash) return;
 
   // Late votes (arrived after the tally deadline) still count for scores.
   leader_flush_votes(leader, /*cross=*/false);
@@ -750,9 +677,9 @@ void Engine::leader_send_scores(std::uint32_t k, net::Time now) {
                                              : cosine_score(vote, decision));
   }
   committees_[k].pending_score_payload = scores.serialize();
-  leader_start_instance(leader, k, sn_score(committees_[k].attempt),
+  leader_start_instance(leader, k,
+                        sn_encode(SnKind::kScore, 0, committees_[k].attempt),
                         committees_[k].pending_score_payload);
-  (void)now;
 }
 
 // ---------------------------------------------------------------------------
@@ -791,11 +718,9 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
 
   net_->multicast(accuser.id, committee_members(k), net::Tag::kAccuse,
                   accusation.serialize());
-  (void)now;
 }
 
-void Engine::on_accuse(NodeState& self, const net::Message& msg,
-                       net::Time now) {
+void Engine::on_accuse(NodeState& self, const net::Message& msg) {
   const auto accusation = Accusation::deserialize(msg.payload());
   if (self.committee != static_cast<std::int64_t>(accusation.committee)) return;
   const net::NodeId accuser_id = node_of_pk(accusation.accuser);
@@ -823,22 +748,15 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       // semi-commitment; common members (who never received the acks)
       // rely on signature verification, and the referee re-checks the
       // binding at prosecution time.
-      try {
-        const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
-        auto cit = self.commitments.find(req.origin);
-        if (cit != self.commitments.end() &&
-            !verify_semi_commitment(cit->second, req.origin_members)) {
-          return;  // provably fabricated list
-        }
-        wire::CrossTxListMsg canonical = req;
-        const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-        const bool cert_ok =
-            cert.digest == crypto::sha256(canonical.agreed_payload()) &&
-            cert.verify(req.origin_members, req.origin_members.size());
-        approve = cert_ok && !self.cross_seen_propose.contains(req.origin);
-      } catch (const std::exception&) {
-        approve = false;
+      const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
+      auto cit = self.commitments.find(req.origin);
+      if (cit != self.commitments.end() &&
+          !verify_semi_commitment(cit->second, req.origin_members)) {
+        return;  // provably fabricated list
       }
+      approve = certifies(req.origin_cert, req.agreed_payload(),
+                          req.origin_members) &&
+                !self.cross_seen_propose.contains(req.origin);
     }
   }
   if (!approve) return;
@@ -846,11 +764,9 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg,
       self.keys, ImpeachmentCert::approval_payload(accusation));
   net_->send(self.id, accuser_id, net::Tag::kImpeachVote,
              approval.serialize());
-  (void)now;
 }
 
-void Engine::on_impeach_vote(NodeState& self, const net::Message& msg,
-                             net::Time now) {
+void Engine::on_impeach_vote(NodeState& self, const net::Message& msg) {
   if (!self.pending_accusation || self.sent_prosecution) return;
   const auto approval = crypto::SignedMessage::deserialize(msg.payload());
   const Bytes expected =
@@ -867,13 +783,10 @@ void Engine::on_impeach_vote(NodeState& self, const net::Message& msg,
     ImpeachmentCert cert;
     cert.accusation = *self.pending_accusation;
     cert.approvals = self.impeach_approvals;
-    const auto payload = net::make_payload(cert.serialize());
-    for (net::NodeId rm : assign_.referees) {
-      net_->send_shared(self.id, rm, net::Tag::kProsecute, payload);
-    }
+    send_to_referees(self.id, net::Tag::kProsecute,
+                     net::make_payload(cert.serialize()));
     self.sent_prosecution = true;
   }
-  (void)now;
 }
 
 bool Engine::referee_corroborates_timeout(const NodeState& referee,
@@ -889,19 +802,25 @@ bool Engine::referee_corroborates_timeout(const NodeState& referee,
   }
   // Cross concealment: the hint proves the origin committee produced a
   // certified list, yet no cross result for (origin -> k) arrived.
+  const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
+  if (req.dest != k) return false;
+  auto cit = referee.commitments.find(req.origin);
+  if (cit == referee.commitments.end()) return false;
+  if (!verify_semi_commitment(cit->second, req.origin_members)) return false;
+  if (!certifies(req.origin_cert, req.agreed_payload(), req.origin_members)) {
+    return false;
+  }
+  return !committees_[k].cross_results.contains(req.origin);
+}
+
+bool Engine::certifies(const Bytes& cert, const Bytes& payload,
+                       const std::vector<crypto::PublicKey>& members) const {
+  // Never throws: the recovery redo reaches this from a timer, outside
+  // the catch in handle().
   try {
-    const auto req = wire::CrossTxListMsg::deserialize(accusation.witness);
-    if (req.dest != k) return false;
-    auto cit = referee.commitments.find(req.origin);
-    if (cit == referee.commitments.end()) return false;
-    if (!verify_semi_commitment(cit->second, req.origin_members)) return false;
-    wire::CrossTxListMsg canonical = req;
-    const auto cert = consensus::QuorumCert::deserialize(req.origin_cert);
-    if (cert.digest != crypto::sha256(canonical.agreed_payload())) return false;
-    if (!cert.verify(req.origin_members, req.origin_members.size())) {
-      return false;
-    }
-    return !committees_[k].cross_results.contains(req.origin);
+    const auto qc = consensus::QuorumCert::deserialize(cert);
+    return qc.digest == crypto::sha256(payload) &&
+           qc.verify(members, members.size());
   } catch (const std::exception&) {
     return false;
   }
@@ -932,8 +851,9 @@ void Engine::on_prosecute(NodeState& self, const net::Message& msg,
   if (!witness_ok) return;
 
   // Only the designated referee drives the re-selection instance.
-  const std::uint64_t sn = sn_reselect(accusation.committee,
-                                       committees_[accusation.committee].attempt);
+  const std::uint64_t sn =
+      sn_encode(SnKind::kReselect, accusation.committee,
+                committees_[accusation.committee].attempt);
   if (designated_referee(sn) != self.id) return;
   referee_convict(self, accusation, now, msg.payload());
 }
@@ -984,8 +904,8 @@ void Engine::referee_convict(NodeState& referee, const Accusation& accusation,
   w.bytes(announcement.serialize());
   w.bytes(impeachment);
   leader_start_instance(referee, params_.m,
-                        sn_reselect(k, committees_[k].attempt), w.take());
-  (void)now;
+                        sn_encode(SnKind::kReselect, k, committees_[k].attempt),
+                        w.take());
 }
 
 void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
@@ -1009,8 +929,7 @@ void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
   install_new_leader(k, replacement, net_->now());
 }
 
-void Engine::on_new_leader(NodeState& self, const net::Message& msg,
-                           net::Time now) {
+void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   // Member-side state refresh; the authoritative switch happened in
   // install_new_leader when C_R certified the re-selection.
   const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
@@ -1018,7 +937,6 @@ void Engine::on_new_leader(NodeState& self, const net::Message& msg,
     self.leader_sent_txlist = false;
     self.leader_sent_commitment = false;
   }
-  (void)now;
 }
 
 void Engine::install_new_leader(std::uint32_t k, net::NodeId new_leader,
@@ -1068,7 +986,7 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
       }
       break;
     case net::Phase::kReputation:
-      leader_send_scores(k, now);
+      leader_send_scores(k);
       break;
     default:
       break;

@@ -318,6 +318,16 @@ TEST(ScenarioSpec, RejectsZeroCapacityMempoolUnderLoad) {
       R"({"params": {"arrival_rate": 0.5, "mempool_cap": 8}})"));
 }
 
+TEST(ScenarioSpec, RejectsRecoveryBudgetTheSnLayoutCannotEncode) {
+  // Each recovery restarts a committee's instances in the next of 16
+  // sequence-number slots; a budget of 16 would alias the next committee.
+  EXPECT_THROW(ScenarioSpec::list_from_json(
+                   R"({"options": {"max_recoveries_per_committee": 16}})"),
+               std::runtime_error);
+  EXPECT_NO_THROW(ScenarioSpec::list_from_json(
+      R"({"options": {"max_recoveries_per_committee": 15}})"));
+}
+
 TEST(ScenarioSpec, RebalanceFieldsRoundTripAndStayGatedWhenOff) {
   const auto specs = ScenarioSpec::list_from_json(R"({
     "name": "rebal",

@@ -1,6 +1,8 @@
 // Focused tests of the leader re-selection procedure (Alg. 6, §V-D).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "protocol/engine.hpp"
 
 namespace cyc::protocol {
@@ -37,6 +39,18 @@ RoundReport run_with_bad_leader(Behavior behavior, std::uint64_t seed,
   (void)leader0;
   if (out) *out = engine;
   return engine->run_round();
+}
+
+TEST(Recovery, RejectsBudgetTheSnLayoutCannotEncode) {
+  // Attempts run 0..max_recoveries_per_committee and each committee has
+  // 16 sequence-number slots per kind, so 15 is the largest budget.
+  EngineOptions options;
+  options.max_recoveries_per_committee = 16;
+  EXPECT_THROW({ Engine engine(params_with(1), AdversaryConfig{}, options); },
+               std::invalid_argument);
+  options.max_recoveries_per_committee = 15;
+  EXPECT_NO_THROW(
+      { Engine engine(params_with(1), AdversaryConfig{}, options); });
 }
 
 TEST(Recovery, CrashLeaderEvicted) {
