@@ -1,8 +1,8 @@
 // Per-shard UTXO store.
 //
 // Each committee maintains the UTXO set of the shard it is responsible
-// for (§III-D); after a block is released, members delete spent outputs
-// and append the newly created outputs belonging to their shard (§IV-G).
+// for (§III-D); the engine holds one store per shard and applies each
+// released block to it between rounds (§IV-G, src/protocol/README.md).
 //
 // The store keeps a *rolling* content digest: an XOR-combined multiset
 // hash over per-entry digests, folded into the final digest together

@@ -749,9 +749,9 @@ void Engine::reconfigure(const Reconfiguration& reconfig) {
 
 void Engine::start_round_state() {
   // Crash-recovery lifecycle: a restarted node that adopted a majority
-  // state digest last round rejoins now (its UTXO view is rebuilt by the
-  // per-round copy below, so the adopted digest is what it replays from);
-  // one that exhausted its retry budget re-crashes.
+  // state digest last round rejoins now (like every member it then reads
+  // its shard from shard_state_, the state that digest vouches for); one
+  // that exhausted its retry budget re-crashes.
   catchup_log_.clear();
   for (auto& n : nodes_) {
     if (!n.catching_up) continue;
@@ -781,8 +781,6 @@ void Engine::start_round_state() {
     n.lead.clear();
     n.member.clear();
     n.certs.clear();
-    n.leader_list_msg.reset();
-    n.leader_commit_msg.reset();
     n.commitments.clear();
     n.lists.clear();
     n.known_pks.clear();
@@ -793,13 +791,10 @@ void Engine::start_round_state() {
     n.intra_decision.clear();
     n.cross_decision.clear();
     n.cross_in.clear();
-    n.cross_in_at.clear();
     n.cross_done.clear();
     n.cross_hints.clear();
-    n.cross_hint_at.clear();
     n.cross_seen_propose.clear();
     n.leader_sent_txlist = false;
-    n.leader_sent_commitment = false;
     n.pending_accusation.reset();
     n.impeach_approvals.clear();
     n.accused_this_round = false;
@@ -820,17 +815,6 @@ void Engine::start_round_state() {
       nodes_[id].committee = committee.id;
     }
   }
-  // Members copy their shard's UTXO view (the state their committee is
-  // responsible for).
-  for (auto& n : nodes_) {
-    if (n.committee >= 0) {
-      n.utxo = shard_state_[static_cast<std::size_t>(n.committee)];
-    } else {
-      n.utxo = ledger::UtxoStore(0, params_.m);
-      n.utxo.attach_map(shard_map_);
-    }
-  }
-
   committees_.assign(params_.m, CommitteeRound{});
   for (std::uint32_t k = 0; k < params_.m; ++k) {
     committees_[k].current_leader = assign_.committees[k].leader;
@@ -1054,7 +1038,9 @@ double Engine::storage_proxy(const NodeState& n) const {
   for (const auto& [k, list] : n.lists) {
     bytes += 8.0 * static_cast<double>(list.size());
   }
-  bytes += 48.0 * static_cast<double>(n.utxo.size());
+  if (n.committee >= 0) {
+    bytes += 48.0 * static_cast<double>(shard_state_[n.committee].size());
+  }
   for (const auto& [sn, cert] : n.certs) {
     bytes += static_cast<double>(cert.serialize().size());
   }

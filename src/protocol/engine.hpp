@@ -296,7 +296,6 @@ class Engine {
     SortitionTicket ticket;
     std::vector<crypto::PublicKey> member_list;  // S of Alg. 2
     std::set<std::uint64_t> known_pks;           // dedup for S
-    ledger::UtxoStore utxo;                      // own shard view
 
     // Algorithm 3 instances, keyed by sn.
     std::map<std::uint64_t, consensus::LeaderInstance> lead;
@@ -304,8 +303,6 @@ class Engine {
     std::map<std::uint64_t, consensus::QuorumCert> certs;
 
     // semi-commitment bookkeeping
-    std::optional<crypto::SignedMessage> leader_list_msg;    // from leader
-    std::optional<crypto::SignedMessage> leader_commit_msg;  // from leader
     std::map<std::uint32_t, crypto::Digest> commitments;     // per committee
     std::map<std::uint32_t, std::vector<crypto::PublicKey>> lists;  // referee
 
@@ -325,15 +322,12 @@ class Engine {
 
     // inter-committee
     std::map<std::uint32_t, Bytes> cross_in;   // from committee i -> payload
-    std::map<std::uint32_t, double> cross_in_at;  // arrival time (2-Gamma rule)
     std::set<std::uint32_t> cross_done;        // processed origins
     std::map<std::uint32_t, Bytes> cross_hints;   // partial members' copies
-    std::map<std::uint32_t, double> cross_hint_at;
     std::set<std::uint32_t> cross_seen_propose;   // origins the leader engaged
 
     // activity flags honest members track about their leader
     bool leader_sent_txlist = false;
-    bool leader_sent_commitment = false;
 
     // impeachment
     std::optional<Accusation> pending_accusation;
@@ -416,8 +410,7 @@ class Engine {
   void on_semicommit_ack(NodeState& self, const net::Message& msg);
   void on_txlist(NodeState& self, const net::Message& msg);
   void on_vote(NodeState& self, const net::Message& msg);
-  void on_cross_txlist(NodeState& self, const net::Message& msg,
-                       net::Time now);
+  void on_cross_txlist(NodeState& self, const net::Message& msg);
   void on_cross_hint(NodeState& self, const net::Message& msg, net::Time now);
   void on_cross_result(NodeState& self, const net::Message& msg);
   void on_accuse(NodeState& self, const net::Message& msg);
@@ -487,8 +480,8 @@ class Engine {
   void on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
                const consensus::QuorumCert& cert);
 
-  /// Voting logic: an honest node's vote on a list given its UTXO view
-  /// and capacity; misbehaving voters per Behavior.
+  /// Voting logic: an honest member's vote on a list given its shard's
+  /// store and its capacity; misbehaving voters per Behavior.
   VoteVector compute_vote(NodeState& self,
                           const std::vector<ledger::Transaction>& txs);
 
@@ -517,8 +510,7 @@ class Engine {
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
   void leader_start_intra(std::uint32_t k, net::Time now);
   void leader_start_cross(std::uint32_t k, net::Time now);
-  void leader_handle_cross_in(NodeState& leader, const Bytes& request,
-                              net::Time now);
+  void leader_handle_cross_in(NodeState& leader, const Bytes& request);
   void leader_send_scores(std::uint32_t k);
 
   /// Apply score reports that have gathered a referee-majority ack into

@@ -170,7 +170,7 @@ void Engine::phase_block(net::Time at) {
     Writer w;
     w.str("UTXO_FINAL");
     w.u32(k);
-    w.bytes(crypto::digest_to_bytes(leader.utxo.digest()));
+    w.bytes(crypto::digest_to_bytes(shard_state_[k].digest()));
     leader_start_instance(
         leader, k, sn_encode(SnKind::kUtxo, 0, committees_[k].attempt),
         w.take());
@@ -207,7 +207,7 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
       case net::Tag::kSemiCommitAck: on_semicommit_ack(self, msg); break;
       case net::Tag::kTxList: on_txlist(self, msg); break;
       case net::Tag::kVote: on_vote(self, msg); break;
-      case net::Tag::kCrossTxList: on_cross_txlist(self, msg, now); break;
+      case net::Tag::kCrossTxList: on_cross_txlist(self, msg); break;
       case net::Tag::kCrossPartialHint: on_cross_hint(self, msg, now); break;
       case net::Tag::kCrossResult: on_cross_result(self, msg); break;
       case net::Tag::kScoreReport:
@@ -231,15 +231,6 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
                                               params_.pow_bits),
                                {pow.nonce, pow.digest})) {
           registered_.insert(pow.node);
-        }
-        break;
-      }
-      case net::Tag::kBlock:
-      case net::Tag::kSubBlock: {
-        // Members refresh their shard view from the released (sub-)block.
-        if (self.committee >= 0) {
-          const auto block = wire::BlockMsg::deserialize(msg.payload());
-          for (const auto& tx : block.txs) self.utxo.apply(tx);
         }
         break;
       }
@@ -269,6 +260,13 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
     // The one handler-side catch, see src/protocol/README.md: a
     // malformed payload from an adversarial sender ends its handler
     // before any state change; honest code never produces one.
+    if (obs_ != nullptr) {
+      const std::string tag(net::tag_name(msg.tag));
+      obs_->metrics.counter("net.malformed." + tag).add();
+      obs_->trace.instant(obs::kTrackProtocol, "malformed", "fault", now,
+                          {{"from", static_cast<double>(msg.from)},
+                           {"to", static_cast<double>(id)}});
+    }
   }
 }
 
@@ -561,7 +559,7 @@ void Engine::on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
       // next round's partial sets (§IV-G).
       Writer w;
       w.u32(k);
-      w.bytes(crypto::digest_to_bytes(self.utxo.digest()));
+      w.bytes(crypto::digest_to_bytes(shard_state_[k].digest()));
       w.bytes(cert.serialize());
       send_to_referees(self.id, net::Tag::kUtxoHandoff,
                        net::make_payload(w.take()));

@@ -121,9 +121,6 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
   }
 
   if (self.role == Role::kPartial && self.committee == static_cast<std::int64_t>(k)) {
-    self.leader_list_msg = sc.list_msg;
-    self.leader_commit_msg = sc.commitment_msg;
-    self.leader_sent_commitment = true;
     // Verify: the commitment matches the list, and the list S is no
     // smaller than the set we locally maintain (Alg. 4 step 3).
     bool mismatch = !verify_semi_commitment(commitment, members);
@@ -160,6 +157,7 @@ void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
 VoteVector Engine::compute_vote(NodeState& self,
                                 const std::vector<ledger::Transaction>& txs) {
   VoteVector vote(txs.size(), Vote::kUnknown);
+  const ledger::UtxoStore& shard = shard_state_[self.committee];
   if (self.misbehaves(round_)) {
     switch (self.behavior) {
       case Behavior::kRandomVoter: {
@@ -175,7 +173,7 @@ VoteVector Engine::compute_vote(NodeState& self,
       case Behavior::kInverseVoter:
       case Behavior::kFramer: {
         for (std::size_t i = 0; i < txs.size(); ++i) {
-          vote[i] = ledger::V(txs[i], self.utxo) ? Vote::kNo : Vote::kYes;
+          vote[i] = ledger::V(txs[i], shard) ? Vote::kNo : Vote::kYes;
         }
         return vote;
       }
@@ -212,7 +210,7 @@ VoteVector Engine::compute_vote(NodeState& self,
   for (std::size_t j = 0; j < judged; ++j) {
     const std::size_t i = order[j];
     if (conflicted[i]) continue;  // already voted No above
-    vote[i] = ledger::V(txs[i], self.utxo) ? Vote::kYes : Vote::kNo;
+    vote[i] = ledger::V(txs[i], shard) ? Vote::kYes : Vote::kNo;
   }
   return vote;
 }
@@ -360,7 +358,7 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
     }
     std::vector<ledger::Transaction> filtered;
     for (const auto& tx : committees_[k].cross_list) {
-      if (ledger::V(tx, leader.utxo)) filtered.push_back(tx);
+      if (ledger::V(tx, shard_state_[k])) filtered.push_back(tx);
     }
     committees_[k].cross_list = std::move(filtered);
     if (committees_[k].cross_list.empty()) return;
@@ -416,8 +414,7 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
   });
 }
 
-void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
-                                    net::Time now) {
+void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request) {
   const auto req = wire::CrossTxListMsg::deserialize(request);
   const std::uint32_t k = static_cast<std::uint32_t>(leader.committee);
   if (req.dest != k) return;
@@ -436,7 +433,6 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
   }
 
   leader.cross_in[req.origin] = request;
-  leader.cross_in_at[req.origin] = now;
 
   // Reach committee agreement on the acceptance (the C_j side of §IV-D).
   wire::CrossResultMsg result;
@@ -446,8 +442,7 @@ void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request,
                         result.acceptance_payload());
 }
 
-void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
-                             net::Time now) {
+void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
   if (self.committee < 0) return;
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (self.id != committees_[k].current_leader) return;
@@ -476,7 +471,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg,
     send_to_referees(self.id, net::Tag::kCrossResult, payload);
     return;
   }
-  leader_handle_cross_in(self, msg.payload(), now);
+  leader_handle_cross_in(self, msg.payload());
 }
 
 void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
@@ -487,7 +482,6 @@ void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
   if (req.dest != k) return;
   if (self.cross_hints.contains(req.origin)) return;
   self.cross_hints[req.origin] = msg.payload();
-  self.cross_hint_at[req.origin] = now;
 
   // Lemma 7: if after 2*Gamma the leader has not engaged the consensus on
   // this origin's list, forward it and (if still silent) accuse.
@@ -935,7 +929,6 @@ void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
   if (self.committee == static_cast<std::int64_t>(announcement.committee)) {
     self.leader_sent_txlist = false;
-    self.leader_sent_commitment = false;
   }
 }
 
@@ -982,7 +975,7 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
       leader_start_cross(k, now);
       // Process any cross lists the partial member already holds.
       for (const auto& [origin, hint] : leader.cross_hints) {
-        leader_handle_cross_in(leader, hint, now);
+        leader_handle_cross_in(leader, hint);
       }
       break;
     case net::Phase::kReputation:

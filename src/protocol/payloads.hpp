@@ -174,8 +174,8 @@ struct NewLeaderMsg {
   static NewLeaderMsg deserialize(BytesView b);
 };
 
-/// Block summary broadcast to every node (§IV-G). Carries enough for
-/// members to update their shard state; sizes approximate a real block.
+/// Block summary broadcast to every node (§IV-G), sized like a real block;
+/// members decode nothing from it ("Ledger state", src/protocol/README.md).
 struct BlockMsg {
   std::uint64_t round = 0;
   std::vector<ledger::Transaction> txs;

@@ -38,7 +38,9 @@ void serialize_counter(Writer& w, const net::Counter& c) {
   w.u64(c.bytes_recv);
 }
 
-Bytes serialize_report(const RoundReport& r) {
+// `with_storage = false` leaves out storage_by_role, the one field that
+// prices a node's state rather than recording what the protocol did.
+Bytes serialize_report(const RoundReport& r, bool with_storage = true) {
   Writer w;
   w.u64(r.round);
   w.u64(r.txs_committed);
@@ -79,9 +81,11 @@ Bytes serialize_report(const RoundReport& r) {
     w.u8(static_cast<std::uint8_t>(role));
     w.u64(count);
   }
-  for (const auto& [role, storage] : r.storage_by_role) {
-    w.u8(static_cast<std::uint8_t>(role));
-    w.f64(storage);
+  if (with_storage) {
+    for (const auto& [role, storage] : r.storage_by_role) {
+      w.u8(static_cast<std::uint8_t>(role));
+      w.f64(storage);
+    }
   }
   return w.take();
 }
@@ -123,8 +127,12 @@ std::vector<Bytes> run_adversarial_fixture(std::size_t* recoveries = nullptr) {
 // leaders. The two-run comparisons above cannot see a refactor that
 // changes outcomes the same way on every run; this pins the report
 // stream itself. Re-pin only for a deliberate protocol re-baseline.
+// The outcome-only pin (storage_by_role left out) separates a change in
+// what the protocol did from a change in how node state is priced.
 constexpr char kGoldenCrossShardSha256[] =
-    "4ef0cdd9bf24ec5b423c2df077ed28787cc0a3eca9ecd15297fa832397056bdd";
+    "b7723f45fe3c2747fb156820f8878a0fc4ad7a4d3cbe401dcf6cef019440f508";
+constexpr char kGoldenCrossShardOutcomeSha256[] =
+    "fc8134fd1125bbc99c900adcc206af09d5dc0ba613c6d40476f8db34166e459c";
 
 Params golden_params() {
   Params params = fixture_params();
@@ -149,6 +157,7 @@ AdversaryConfig golden_adversary() {
 TEST(Determinism, GoldenCrossShardAdversarialReports) {
   Engine engine(golden_params(), golden_adversary());
   Bytes stream;
+  Bytes outcomes;
   std::size_t recoveries = 0;
   std::uint64_t cross_committed = 0;
   for (int round = 0; round < 4; ++round) {
@@ -157,10 +166,14 @@ TEST(Determinism, GoldenCrossShardAdversarialReports) {
     cross_committed += report.cross_committed;
     const Bytes bytes = serialize_report(report);
     stream.insert(stream.end(), bytes.begin(), bytes.end());
+    const Bytes outcome = serialize_report(report, /*with_storage=*/false);
+    outcomes.insert(outcomes.end(), outcome.begin(), outcome.end());
   }
   // Non-vacuity: the pin must cover Alg. 6 and the §IV-D cross path.
   EXPECT_GE(recoveries, 1u);
   EXPECT_GE(cross_committed, 1u);
+  EXPECT_EQ(to_hex(crypto::digest_to_bytes(crypto::sha256(outcomes))),
+            kGoldenCrossShardOutcomeSha256);
   EXPECT_EQ(to_hex(crypto::digest_to_bytes(crypto::sha256(stream))),
             kGoldenCrossShardSha256);
 }

@@ -1,9 +1,11 @@
 // Ingress bounds: a wire-supplied committee index that is out of range
-// must be dropped at Engine::handle's handlers, never used as an index.
+// must be dropped at Engine::handle's handlers, never used as an index,
+// and a malformed payload is dropped (and counted) at its single catch.
 // Each test hands one hostile message straight to a node's handler and
 // checks that the next round matches a twin engine that never saw it.
 #include <gtest/gtest.h>
 
+#include "obs/observer.hpp"
 #include "protocol/engine.hpp"
 #include "protocol/payloads.hpp"
 
@@ -81,6 +83,29 @@ TEST(EngineIngress, ImitatorIgnoresCrossListFromOriginM) {
   request.dest = 0;
   EngineTestPeer::deliver(probed, leader, net::Tag::kCrossTxList,
                           request.serialize());
+  expect_same_round(probed, twin);
+}
+
+TEST(EngineIngress, TruncatedVoteIsCountedAndDropped) {
+  const Params p = small_params();
+  Engine probed(p, AdversaryConfig{});
+  Engine twin(p, AdversaryConfig{});
+  obs::Observer observer;
+  probed.attach_observer(&observer);
+  probed.run_round();
+  twin.run_round();
+  const net::NodeId leader = probed.last_assignment().committees[0].leader;
+  wire::VoteMsg vote;
+  vote.committee = 0;
+  Bytes payload = vote.serialize();
+  payload.pop_back();  // the signed vote's length prefix overruns the input
+  EngineTestPeer::deliver(probed, leader, net::Tag::kVote, payload);
+  const obs::MetricCounter* malformed =
+      observer.metrics.find_counter("net.malformed.VOTE");
+  ASSERT_NE(malformed, nullptr);
+  EXPECT_EQ(malformed->value(), 1u);
+  EXPECT_NE(observer.export_json().find("\"name\":\"malformed\""),
+            std::string::npos);
   expect_same_round(probed, twin);
 }
 
