@@ -17,6 +17,8 @@
 #   - the stdout of the other benches (Google Benchmark micro benches,
 #     the sources that include benchmark/benchmark.h, excepted: they
 #     print timings only) and of every example.
+# For every file that differs it prints the first 20 differing JSON key
+# paths with the base and head values (or "not JSON").
 # Part 2 runs `python3 perfbench/run.py` (both gated workloads) in
 # <pairs> alternating base/head pairs, each side building under its own
 # CARGO_TARGET_DIR. Per workload and BENCHMARK.json end-to-end metric it
@@ -149,6 +151,64 @@ if diff -r -q "$AB_DIR/out-base" "$AB_DIR/out-head"; then
 else
   echo "ARTIFACTS DIFFER (base $AB_DIR/out-base, head $AB_DIR/out-head)" >&2
   status=1
+  # Per differing file: the first 20 JSON key paths that differ, with the
+  # base and head values, so a deliberate re-baseline can be audited.
+  python3 - "$AB_DIR/out-base" "$AB_DIR/out-head" <<'EOF' >&2
+import json, os, sys
+base, head = sys.argv[1], sys.argv[2]
+LIMIT = 20
+def files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+def show(v):
+    text = json.dumps(v)
+    return text if len(text) <= 60 else text[:57] + "..."
+def diff(a, b, at, out):
+    if len(out) >= LIMIT:
+        return
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            sub = f"{at}.{k}" if k.isidentifier() else f"{at}[{json.dumps(k)}]"
+            if k not in b:
+                out.append(f"{sub}: base only")
+            elif k not in a:
+                out.append(f"{sub}: head only")
+            else:
+                diff(a[k], b[k], sub, out)
+            if len(out) >= LIMIT:
+                return
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff(x, y, f"{at}[{i}]", out)
+            if len(out) >= LIMIT:
+                return
+        if len(a) != len(b):
+            out.append(f"{at}: length {len(a)} -> {len(b)}")
+    elif type(a) is not type(b) or a != b:
+        out.append(f"{at}: {show(a)} -> {show(b)}")
+for rel in sorted(files(base) | files(head)):
+    pa, pb = os.path.join(base, rel), os.path.join(head, rel)
+    if not (os.path.exists(pa) and os.path.exists(pb)):
+        print(f"{rel}: only in {'base' if os.path.exists(pa) else 'head'}")
+        continue
+    with open(pa, "rb") as fa, open(pb, "rb") as fb:
+        ba, bb = fa.read(), fb.read()
+    if ba == bb:
+        continue
+    try:
+        ja, jb = json.loads(ba), json.loads(bb)
+    except ValueError:
+        print(f"{rel}: differs (not JSON)")
+        continue
+    out = []
+    diff(ja, jb, "$", out)
+    if not out:
+        print(f"{rel}: same JSON value, other bytes")
+        continue
+    print(f"{rel}: differs at" + (" (first 20)" if len(out) >= LIMIT else ""))
+    for line in out:
+        print(f"  {line}")
+EOF
 fi
 
 if [[ "$PAIRS" -gt 0 ]]; then

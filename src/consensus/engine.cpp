@@ -183,6 +183,14 @@ MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
 
 MemberOutput MemberInstance::on_echo(const EchoWire& wire) {
   MemberOutput out;
+  // A relay of the PROPOSE we already hold can neither witness
+  // equivocation nor teach us the proposal, so its signature needs no
+  // check; once we have confirmed, such an echo changes nothing at all
+  // (echoes_ is read only by maybe_confirm).
+  const bool known_relay =
+      seen_propose_ &&
+      equal(seen_propose_->payload, wire.body.propose_sig.payload);
+  if (confirmed_ && known_relay) return out;
   if (!wire.sig.valid()) return out;
   if (!(wire.body.id == id_)) return out;
   if (!equal(wire.sig.payload, wire.body.signed_part())) return out;
@@ -190,7 +198,7 @@ MemberOutput MemberInstance::on_echo(const EchoWire& wire) {
   // The relayed PROPOSE lets us catch a leader who proposed different
   // messages to different members (the paper's "notices that the leader
   // is malicious" condition).
-  if (wire.body.propose_sig.valid() &&
+  if (!known_relay && wire.body.propose_sig.valid() &&
       wire.body.propose_sig.signer == leader_) {
     out.witness = check_equivocation(wire.body.propose_sig);
     if (out.witness) return out;

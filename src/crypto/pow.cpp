@@ -3,9 +3,9 @@
 namespace cyc::crypto {
 
 namespace {
-// Midstate with the fixed prefix ("cyc.pow" || challenge) absorbed; each
-// attempt clones it and appends only the nonce. The byte stream — and so
-// every digest — is identical to hashing the concatenation in one go.
+// Midstate with the fixed prefix ("cyc.pow" || challenge) absorbed; an
+// attempt appends only the nonce. The byte stream — and so every digest —
+// is identical to hashing the concatenation in one go.
 Sha256 puzzle_prefix(BytesView challenge) {
   Sha256 ctx;
   ctx.update("cyc.pow");
@@ -29,15 +29,12 @@ bool pow_verify(BytesView challenge, std::uint64_t target,
 std::optional<PowSolution> pow_solve(BytesView challenge, std::uint64_t target,
                                      std::uint64_t start,
                                      std::uint64_t max_iters) {
+  // The round puzzle's prefix is exactly one block, so each try is one
+  // compression; the digest is formed for the winning nonce only.
   const Sha256 prefix = puzzle_prefix(challenge);
-  for (std::uint64_t i = 0; i < max_iters; ++i) {
-    const std::uint64_t nonce = start + i;
-    const Digest d = puzzle_hash(prefix, nonce);
-    if (digest_prefix_u64(d) < target) {
-      return PowSolution{nonce, d};
-    }
-  }
-  return std::nullopt;
+  const auto nonce = prefix.first_u64_suffix_below(start, max_iters, target);
+  if (!nonce) return std::nullopt;
+  return PowSolution{*nonce, puzzle_hash(prefix, *nonce)};
 }
 
 std::uint64_t pow_target_for_bits(unsigned bits) {

@@ -65,6 +65,17 @@ std::uint64_t content_fp(const PublicKey& pk, BytesView msg,
   return digest_prefix_u64(ctx.finalize());
 }
 
+/// Signing given the public key y = g^x, so callers holding the key pair
+/// skip recomputing it.
+Signature sign_with(const SecretKey& sk, std::uint64_t y, BytesView msg) {
+  std::uint64_t k = nonce_scalar(sk, msg);
+  if (k == 0) k = 1;  // k must be a unit; probability 1/q, handled anyway
+  const std::uint64_t r = g_pow(k);
+  const std::uint64_t e = challenge_scalar(r, y, msg);
+  const std::uint64_t s = add_q(k, mul_q(e, sk.x));
+  return Signature{r, s};
+}
+
 }  // namespace
 
 namespace verify_cache {
@@ -105,13 +116,7 @@ Signature Signature::deserialize(BytesView b) {
 }
 
 Signature sign(const SecretKey& sk, BytesView msg) {
-  std::uint64_t k = nonce_scalar(sk, msg);
-  if (k == 0) k = 1;  // k must be a unit; probability 1/q, handled anyway
-  const std::uint64_t r = g_pow(k);
-  const std::uint64_t y = g_pow(sk.x);
-  const std::uint64_t e = challenge_scalar(r, y, msg);
-  const std::uint64_t s = add_q(k, mul_q(e, sk.x));
-  return Signature{r, s};
+  return sign_with(sk, g_pow(sk.x), msg);
 }
 
 bool verify(const PublicKey& pk, BytesView msg, const Signature& sig) {
@@ -241,7 +246,7 @@ SignedMessage make_signed(const KeyPair& keys, BytesView payload) {
   SignedMessage m;
   m.signer = keys.pk;
   m.payload = Bytes(payload.begin(), payload.end());
-  m.sig = sign(keys.sk, payload);
+  m.sig = sign_with(keys.sk, keys.pk.y, payload);
   return m;
 }
 

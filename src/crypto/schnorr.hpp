@@ -69,12 +69,15 @@ bool verify_cached(const PublicKey& pk, BytesView msg, const Signature& sig);
 /// Thread-local memoization of verification verdicts, keyed on a digest
 /// of the full (signer, payload, signature) content. The same signed
 /// object is typically verified by every simulated node that receives it
-/// (relayed PROPOSEs inside echoes, confirm lists inside certificates,
-/// semi-commitments fanned out to referees and partial sets); the cache
-/// collapses those repeats into one Schnorr verification per distinct
-/// content. Verdicts are pure functions of content, so caching cannot
-/// change any protocol outcome, and mutating a message changes its key,
-/// so stale verdicts are unreachable.
+/// (confirm lists inside certificates, semi-commitments fanned out to
+/// referees and partial sets); the cache collapses those repeats into one
+/// Schnorr verification per distinct content. Each lookup still hashes
+/// the content, so repeats a caller can rule out without a verdict are
+/// not looked up at all: a member's ECHO handler skips the PROPOSE an
+/// echo relays when it equals the one the member already holds, and
+/// after CONFIRM skips such echoes entirely. Verdicts are pure functions
+/// of content, so caching cannot change any protocol outcome, and
+/// mutating a message changes its key, so stale verdicts are unreachable.
 namespace verify_cache {
 std::uint64_t hits();
 std::uint64_t misses();
@@ -101,7 +104,9 @@ struct SignedMessage {
   bool operator==(const SignedMessage&) const = default;
 };
 
-/// Convenience: build a SignedMessage over `payload`.
+/// Convenience: build a SignedMessage over `payload`. Signs with
+/// `keys.pk` as the public key, so the signature equals
+/// sign(keys.sk, payload) for every pair KeyPair::generate makes.
 SignedMessage make_signed(const KeyPair& keys, BytesView payload);
 
 /// Batch verification: true iff every message verifies. Uses the

@@ -383,6 +383,42 @@ Digest Sha256::finalize() {
   return out;
 }
 
+std::optional<std::uint64_t> Sha256::first_u64_suffix_below(
+    std::uint64_t start, std::uint64_t count, std::uint64_t target) const {
+  if (buffer_len_ + 8 + 1 + 8 > 64) {
+    // The suffix and padding straddle two blocks: hash each try in full.
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Sha256 ctx = *this;
+      if (digest_prefix_u64(ctx.update_u64(start + i).finalize()) < target) {
+        return start + i;
+      }
+    }
+    return std::nullopt;
+  }
+  // Final block template: buffered bytes, the 8-byte slot for `v`, 0x80,
+  // zeros and the bit length of the whole message.
+  std::array<std::uint8_t, 64> block{};
+  std::memcpy(block.data(), buffer_.data(), buffer_len_);
+  std::uint8_t* slot = block.data() + buffer_len_;
+  slot[8] = 0x80;
+  const std::uint64_t bit_len = (total_len_ + 8) * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>((bit_len >> (8 * (7 - i))) & 0xff);
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t v = start + i;
+    for (int b = 0; b < 8; ++b) {
+      slot[b] = static_cast<std::uint8_t>((v >> (8 * (7 - b))) & 0xff);
+    }
+    std::array<std::uint32_t, 8> st = state_;
+    g_block_fn(st, block.data());
+    // The digest's first 8 bytes are state words 0 and 1, big-endian.
+    if (((std::uint64_t{st[0]} << 32) | st[1]) < target) return v;
+  }
+  return std::nullopt;
+}
+
 Digest sha256(BytesView data) { return Sha256().update(data).finalize(); }
 
 Bytes sha256_bytes(BytesView data) {

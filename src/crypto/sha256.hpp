@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "support/bytes.hpp"
 
@@ -17,9 +18,10 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 context.
 ///
 /// Contexts are cheap to copy, which enables midstate reuse: hash a fixed
-/// prefix once, then clone the context for every suffix (the PoW solver
-/// leans on this — its 64-byte per-node prefix costs one compression
-/// total instead of one per nonce attempt).
+/// prefix once, then clone the context for every suffix. The PoW solver
+/// goes one step further with first_u64_suffix_below: its 64-byte
+/// per-node prefix costs one compression total, and each nonce attempt
+/// one more.
 class Sha256 {
  public:
   Sha256();
@@ -34,6 +36,16 @@ class Sha256 {
   /// Finalize and return the digest. The context must not be reused
   /// afterwards (construct a fresh one).
   Digest finalize();
+
+  /// Suffix search (the PoW solver's loop): the first `v` of
+  /// start, start + 1, ... (count values, wrapping mod 2^64) for which
+  /// digest_prefix_u64 of H(absorbed bytes || be64(v)) is below
+  /// `target`. Same answer as cloning the context for every `v` and
+  /// finalizing, but when `v` and the padding fit the buffered block (at
+  /// most 47 bytes buffered) a try is one compression of a prebuilt final
+  /// block from the midstate: no context copy and no digest bytes.
+  std::optional<std::uint64_t> first_u64_suffix_below(
+      std::uint64_t start, std::uint64_t count, std::uint64_t target) const;
 
  private:
   void process_block(const std::uint8_t* block);

@@ -155,23 +155,29 @@ class SimNet {
   std::size_t node_count() const { return handlers_.size(); }
 
  private:
+  // Queued events live in `slots_` (reused through `free_slots_`); the
+  // heap orders only small {when, seq, slot} keys, by (when, seq).
   struct Event {
-    Time when;
-    std::uint64_t seq;
     // Exactly one of message / timer is active.
-    bool is_timer;
+    bool is_timer = false;
     Message msg;
-    Phase send_phase;
+    Phase send_phase = Phase::kIdle;
     std::function<void(Time)> timer;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
+  struct Key {
+    Time when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct KeyOrder {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
   Time class_delay(LinkClass cls);
+  void push(Time when, Event ev);
 
   DelayModel delays_;
   rng::Stream rng_;
@@ -180,7 +186,9 @@ class SimNet {
   DeliverProbe deliver_probe_;
   std::optional<FaultInjector> injector_;
   std::vector<Handler> handlers_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::priority_queue<Key, std::vector<Key>, KeyOrder> queue_;
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_slots_;
   TrafficStats stats_;
   Phase phase_ = Phase::kIdle;
   Time now_ = 0.0;

@@ -270,6 +270,72 @@ TEST(Alg3, TamperedEchoIgnored) {
   EXPECT_FALSE(out2.confirm_to_leader.has_value());
 }
 
+// The ECHO handler skips signature checks for relays of the PROPOSE a
+// member already holds. These pin what that shortcut may and may not do.
+
+TEST(Alg3, KnownRelayAfterConfirmMakesNoCacheLookups) {
+  Committee c(3);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  const ProposeWire propose = leader.make_propose();
+  MemberInstance m0(c.keys[0], 0, c.id, c.leader_keys().pk, c.size());
+  MemberInstance m1(c.keys[1], 1, c.id, c.leader_keys().pk, c.size());
+  MemberInstance m2(c.keys[2], 2, c.id, c.leader_keys().pk, c.size());
+  const auto echo0 = m0.on_propose(propose).echo_broadcast;
+  const auto echo2 = m2.on_propose(propose).echo_broadcast;
+  ASSERT_TRUE(echo0 && echo2);
+  m1.on_propose(propose);
+  ASSERT_TRUE(m1.on_echo(*echo0).confirm_to_leader.has_value());
+
+  const std::uint64_t hits = crypto::verify_cache::hits();
+  const std::uint64_t misses = crypto::verify_cache::misses();
+  const MemberOutput out = m1.on_echo(*echo2);
+  EXPECT_EQ(crypto::verify_cache::hits(), hits);
+  EXPECT_EQ(crypto::verify_cache::misses(), misses);
+  EXPECT_FALSE(out.echo_broadcast || out.confirm_to_leader || out.witness);
+}
+
+TEST(Alg3, EquivocatingRelayAfterConfirmYieldsWitness) {
+  Committee c(3);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  MemberInstance m0(c.keys[0], 0, c.id, c.leader_keys().pk, c.size());
+  MemberInstance m1(c.keys[1], 1, c.id, c.leader_keys().pk, c.size());
+  MemberInstance m2(c.keys[2], 2, c.id, c.leader_keys().pk, c.size());
+  const auto echo0 = m0.on_propose(leader.make_propose()).echo_broadcast;
+  ASSERT_TRUE(echo0.has_value());
+  m1.on_propose(leader.make_propose());
+  m1.on_echo(*echo0);
+  ASSERT_TRUE(m1.has_confirmed());
+
+  const auto evil_echo =
+      m2.on_propose(leader.make_equivocating_propose(bytes_of("other")))
+          .echo_broadcast;
+  ASSERT_TRUE(evil_echo.has_value());
+  const MemberOutput out = m1.on_echo(*evil_echo);
+  ASSERT_TRUE(out.witness.has_value());
+  EXPECT_TRUE(out.witness->valid(c.leader_keys().pk));
+}
+
+TEST(Alg3, ForgedEchoSignatureNotCountedBeforeConfirm) {
+  // Five members need three echoes. m1 holds its own; a forged echo of a
+  // known relay plus one genuine echo must not reach three.
+  Committee c(5);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  const ProposeWire propose = leader.make_propose();
+  std::vector<MemberInstance> members;
+  std::vector<EchoWire> echoes;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    members.emplace_back(c.keys[i], i, c.id, c.leader_keys().pk, c.size());
+    echoes.push_back(*members.back().on_propose(propose).echo_broadcast);
+  }
+  EchoWire forged = echoes[0];
+  forged.sig.sig.s ^= 1;  // payload untouched: still relays the PROPOSE
+  MemberInstance& m1 = members[1];
+  EXPECT_FALSE(m1.on_echo(forged).confirm_to_leader.has_value());
+  EXPECT_FALSE(m1.on_echo(echoes[2]).confirm_to_leader.has_value());
+  EXPECT_FALSE(m1.has_confirmed());
+  EXPECT_TRUE(m1.on_echo(echoes[3]).confirm_to_leader.has_value());
+}
+
 TEST(Alg3, WireSerializationRoundTrips) {
   Committee c(3);
   LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());

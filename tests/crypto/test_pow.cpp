@@ -68,6 +68,51 @@ TEST(Pow, StartOffsetRespected) {
   EXPECT_TRUE(pow_verify(challenge, target, *b));
 }
 
+// Reference solver: one fresh context per nonce, no midstate, no
+// prebuilt final block.
+std::optional<PowSolution> reference_solve(BytesView challenge,
+                                           std::uint64_t target,
+                                           std::uint64_t start,
+                                           std::uint64_t max_iters) {
+  for (std::uint64_t i = 0; i < max_iters; ++i) {
+    Sha256 ctx;
+    ctx.update("cyc.pow");
+    ctx.update(challenge);
+    const Digest d = ctx.update_u64(start + i).finalize();
+    if (digest_prefix_u64(d) < target) return PowSolution{start + i, d};
+  }
+  return std::nullopt;
+}
+
+TEST(Pow, SolveMatchesReferenceLoop) {
+  // After the 7-byte "cyc.pow" tag, challenges of 0..80 bytes leave every
+  // buffered length 0..63 before the nonce: the one-block template (at
+  // most 47 buffered) and the two-block fallback (challenges of 41..56
+  // bytes). The round puzzle's 57-byte challenge fills exactly one block.
+  const std::uint64_t starts[] = {0, 977, ~0ull - 20};  // the last wraps
+  const std::uint64_t targets[] = {pow_target_for_bits(3),
+                                   pow_target_for_bits(64), 0};
+  for (std::size_t len = 0; len <= 80; ++len) {
+    Bytes challenge(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      challenge[i] = static_cast<std::uint8_t>(31 * i + len);
+    }
+    for (std::uint64_t start : starts) {
+      for (std::uint64_t target : targets) {
+        const auto got = pow_solve(challenge, target, start, 64);
+        const auto want = reference_solve(challenge, target, start, 64);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "len=" << len << " start=" << start << " target=" << target;
+        if (want) {
+          EXPECT_EQ(got->nonce, want->nonce) << "len=" << len;
+          EXPECT_EQ(got->digest, want->digest) << "len=" << len;
+        }
+      }
+      EXPECT_FALSE(pow_solve(challenge, ~0ull, start, 0).has_value());
+    }
+  }
+}
+
 TEST(Pow, DifficultyScalesWork) {
   // Average nonce needed grows roughly 2x per extra bit; check loosely
   // over a few challenges.

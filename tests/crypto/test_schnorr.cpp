@@ -115,6 +115,16 @@ TEST(SignedMessage, SwappedSignerInvalid) {
   EXPECT_FALSE(sm.valid());
 }
 
+TEST(SignedMessage, MakeSignedEqualsSign) {
+  // make_signed signs with the stored public key instead of recomputing
+  // it; the signature bytes must not change.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const KeyPair kp = keys(seed);
+    const Bytes msg = concat({bytes_of("payload"), be64(seed * 7919)});
+    EXPECT_EQ(make_signed(kp, msg).sig, sign(kp.sk, msg)) << "seed=" << seed;
+  }
+}
+
 // Property sweep across many keys and messages.
 class SchnorrSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

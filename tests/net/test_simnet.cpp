@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace cyc::net {
@@ -226,6 +227,70 @@ TEST(SimNet, EqualTimestampsDeliverInSeqOrder) {
     EXPECT_EQ(log[i].second, 5.0);     // all timestamps equal
   }
   EXPECT_EQ(log, run_once());
+}
+
+// Zero-jitter partial-sync links deliver after exactly gamma, so
+// messages and timers can share a timestamp.
+SimNet equal_delay_net(std::size_t nodes) {
+  DelayModel delays;
+  delays.gamma = 5.0;
+  delays.jitter = 0.0;
+  SimNet net(nodes, delays, rng::Stream(4));
+  net.set_link_classifier(
+      [](NodeId, NodeId) { return LinkClass::kPartialSync; });
+  return net;
+}
+
+TEST(SimNet, SameTimeMessagesAndTimersRunInQueueingOrder) {
+  SimNet net = equal_delay_net(4);
+  std::vector<std::string> log;
+  net.set_handler(3, [&](const Message& msg, Time) {
+    log.push_back("m" + std::to_string(msg.from));
+  });
+  net.send(0, 3, Tag::kConfig, {});
+  net.schedule(5.0, [&](Time) { log.push_back("t0"); });
+  net.send(1, 3, Tag::kConfig, {});
+  net.schedule(5.0, [&](Time) { log.push_back("t1"); });
+  net.send(2, 3, Tag::kConfig, {});
+  net.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"m0", "t0", "m1", "t1", "m2"}));
+}
+
+TEST(SimNet, EventsQueuedFromHandlersKeepTimeThenQueueingOrder) {
+  // The first delivery frees its queue slot and queues a timer for the
+  // same instant plus a message for later; the timer may take the freed
+  // slot but must still run after the events queued before it.
+  SimNet net = equal_delay_net(4);
+  std::vector<std::string> log;
+  net.set_handler(3, [&](const Message& msg, Time t) {
+    log.push_back("m" + std::to_string(msg.from) + "@" +
+                  std::to_string(static_cast<int>(t)));
+    if (msg.from != 0) return;
+    net.schedule(t, [&](Time) { log.push_back("timer"); });
+    net.send(2, 3, Tag::kConfig, {});
+  });
+  net.send(0, 3, Tag::kConfig, {});
+  net.send(1, 3, Tag::kConfig, {});
+  net.schedule(5.0, [&](Time) { log.push_back("early-timer"); });
+  net.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"m0@5", "m1@5", "early-timer",
+                                           "timer", "m2@10"}));
+}
+
+TEST(SimNet, RunDeadlineLeavesLaterEventsQueued) {
+  SimNet net = equal_delay_net(2);
+  std::vector<std::string> log;
+  net.set_handler(1, [&](const Message&, Time) { log.push_back("msg"); });
+  net.schedule(9.0, [&](Time) { log.push_back("t9"); });
+  net.send(0, 1, Tag::kConfig, {});  // arrives at 5
+  net.schedule(1.0, [&](Time) { log.push_back("t1"); });
+  net.schedule(7.0, [&](Time) { log.push_back("t7"); });
+  EXPECT_EQ(net.run(6.0), 5.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"t1", "msg"}));
+  EXPECT_FALSE(net.idle());
+  net.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"t1", "msg", "t7", "t9"}));
+  EXPECT_TRUE(net.idle());
 }
 
 TEST(SimNet, PartialSyncDelaysLargerThanGamma) {
