@@ -42,7 +42,7 @@ static void BM_VrfProve(benchmark::State& state) {
   const auto keys = crypto::KeyPair::from_seed(3);
   const Bytes input = bytes_of("round-randomness");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::vrf_prove(keys.sk, input));
+    benchmark::DoNotOptimize(crypto::vrf_prove(keys, input));
   }
 }
 BENCHMARK(BM_VrfProve);
@@ -50,7 +50,7 @@ BENCHMARK(BM_VrfProve);
 static void BM_VrfVerify(benchmark::State& state) {
   const auto keys = crypto::KeyPair::from_seed(4);
   const Bytes input = bytes_of("round-randomness");
-  const auto out = crypto::vrf_prove(keys.sk, input);
+  const auto out = crypto::vrf_prove(keys, input);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::vrf_verify(keys.pk, input, out));
   }

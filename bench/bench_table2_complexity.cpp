@@ -75,7 +75,7 @@ struct Cell {
   const char* role_name;
   bool is_bytes;
   std::vector<double> measured;  // one value per sweep config (or empty)
-  std::string fitted;
+  std::string fitted = "-";  // "-" unless every sweep config has the cell
   std::string expected;
 };
 
@@ -125,8 +125,6 @@ int main(int argc, char** argv) {
           cell.measured = y;
           cell.fitted = analysis::complexity_name(
               analysis::classify_scaling(n, m, c, y));
-        } else {
-          cell.fitted = "-";
         }
         cells.push_back(std::move(cell));
       }

@@ -51,6 +51,29 @@ ConfirmWire ConfirmWire::deserialize(BytesView b) {
   return w;
 }
 
+// --- decoded views ------------------------------------------------------------
+
+bool ProposeView::sig_valid() const {
+  return sig_valid_.get([&] { return wire_.sig.valid(); });
+}
+
+const crypto::Digest& ProposeView::message_digest() const {
+  return message_digest_.get([&] { return crypto::sha256(wire_.message); });
+}
+
+bool EchoView::sig_valid() const {
+  return sig_valid_.get([&] { return wire_.sig.valid(); });
+}
+
+bool EchoView::bound() const {
+  return bound_.get(
+      [&] { return equal(wire_.sig.payload, wire_.body.signed_part()); });
+}
+
+bool EchoView::propose_valid() const {
+  return propose_valid_.get([&] { return wire_.body.propose_sig.valid(); });
+}
+
 // --- LeaderInstance -----------------------------------------------------------
 
 LeaderInstance::LeaderInstance(crypto::KeyPair keys, InstanceId id,
@@ -133,9 +156,10 @@ std::optional<EquivocationWitness> MemberInstance::check_equivocation(
   return w;
 }
 
-MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
+MemberOutput MemberInstance::on_propose(const ProposeView& view) {
+  const ProposeWire& wire = view.wire();
   MemberOutput out;
-  if (!(wire.sig.signer == leader_) || !wire.sig.valid()) return out;
+  if (!(wire.sig.signer == leader_) || !view.sig_valid()) return out;
 
   // Decode the signed header and cross-check H(M).
   Reader rd(wire.sig.payload);
@@ -146,7 +170,7 @@ MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
     got.sn = rd.u64();
     if (!(got == id_)) return out;
     const crypto::Digest claimed = crypto::digest_from_bytes(rd.bytes());
-    if (claimed != crypto::sha256(wire.message)) return out;  // bad digest
+    if (claimed != view.message_digest()) return out;  // bad digest
 
     out.witness = check_equivocation(wire.sig);
     if (out.witness) return out;
@@ -181,7 +205,8 @@ MemberOutput MemberInstance::on_propose(const ProposeWire& wire) {
   return out;
 }
 
-MemberOutput MemberInstance::on_echo(const EchoWire& wire) {
+MemberOutput MemberInstance::on_echo(const EchoView& view) {
+  const EchoWire& wire = view.wire();
   MemberOutput out;
   // A relay of the PROPOSE we already hold can neither witness
   // equivocation nor teach us the proposal, so its signature needs no
@@ -191,14 +216,14 @@ MemberOutput MemberInstance::on_echo(const EchoWire& wire) {
       seen_propose_ &&
       equal(seen_propose_->payload, wire.body.propose_sig.payload);
   if (confirmed_ && known_relay) return out;
-  if (!wire.sig.valid()) return out;
+  if (!view.sig_valid()) return out;
   if (!(wire.body.id == id_)) return out;
-  if (!equal(wire.sig.payload, wire.body.signed_part())) return out;
+  if (!view.bound()) return out;
 
   // The relayed PROPOSE lets us catch a leader who proposed different
   // messages to different members (the paper's "notices that the leader
   // is malicious" condition).
-  if (!known_relay && wire.body.propose_sig.valid() &&
+  if (!known_relay && view.propose_valid() &&
       wire.body.propose_sig.signer == leader_) {
     out.witness = check_equivocation(wire.body.propose_sig);
     if (out.witness) return out;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "consensus/types.hpp"
+#include "support/lazy.hpp"
 
 namespace cyc::consensus {
 
@@ -41,6 +42,51 @@ struct ConfirmWire {
 
   Bytes serialize() const;
   static ConfirmWire deserialize(BytesView b);
+};
+
+/// A decoded PROPOSE as every committee member reads it: the wire plus
+/// the checks each member would otherwise repeat, each computed by the
+/// first member that asks. The wire is fixed at construction, so a
+/// verdict can never outlive the content it judges; an edited copy of
+/// the wire makes a new view with fresh verdicts.
+class ProposeView {
+ public:
+  ProposeView(ProposeWire wire) : wire_(std::move(wire)) {}
+  static ProposeView deserialize(BytesView b) {
+    return ProposeWire::deserialize(b);
+  }
+
+  const ProposeWire& wire() const { return wire_; }
+  /// wire().sig.valid()
+  bool sig_valid() const;
+  /// sha256(wire().message): H(M), checked against the signed header.
+  const crypto::Digest& message_digest() const;
+
+ private:
+  ProposeWire wire_;
+  Lazy<bool> sig_valid_;
+  Lazy<crypto::Digest> message_digest_;
+};
+
+/// A decoded ECHO as every committee member reads it (see ProposeView).
+class EchoView {
+ public:
+  EchoView(EchoWire wire) : wire_(std::move(wire)) {}
+  static EchoView deserialize(BytesView b) { return EchoWire::deserialize(b); }
+
+  const EchoWire& wire() const { return wire_; }
+  /// wire().sig.valid()
+  bool sig_valid() const;
+  /// The signature covers this body: sig.payload == body.signed_part().
+  bool bound() const;
+  /// wire().body.propose_sig.valid(): the relayed PROPOSE verifies.
+  bool propose_valid() const;
+
+ private:
+  EchoWire wire_;
+  Lazy<bool> sig_valid_;
+  Lazy<bool> bound_;
+  Lazy<bool> propose_valid_;
 };
 
 /// Leader side of Algorithm 3.
@@ -89,11 +135,12 @@ class MemberInstance {
                  InstanceId id, crypto::PublicKey leader,
                  std::size_t committee_size);
 
-  /// Consume the leader's PROPOSE.
-  MemberOutput on_propose(const ProposeWire& wire);
+  /// Consume the leader's PROPOSE. A bare ProposeWire converts to a view
+  /// with no verdicts yet.
+  MemberOutput on_propose(const ProposeView& view);
 
   /// Consume a peer's ECHO (which relays the signed PROPOSE header).
-  MemberOutput on_echo(const EchoWire& wire);
+  MemberOutput on_echo(const EchoView& view);
 
   bool has_confirmed() const { return confirmed_; }
   const std::optional<Bytes>& accepted_message() const { return message_; }

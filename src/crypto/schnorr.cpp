@@ -119,6 +119,10 @@ Signature sign(const SecretKey& sk, BytesView msg) {
   return sign_with(sk, g_pow(sk.x), msg);
 }
 
+Signature sign(const KeyPair& keys, BytesView msg) {
+  return sign_with(keys.sk, keys.pk.y, msg);
+}
+
 bool verify(const PublicKey& pk, BytesView msg, const Signature& sig) {
   if (!shape_ok(pk, sig)) return false;
   const std::uint64_t e = challenge(pk, msg, sig);
@@ -246,7 +250,7 @@ SignedMessage make_signed(const KeyPair& keys, BytesView payload) {
   SignedMessage m;
   m.signer = keys.pk;
   m.payload = Bytes(payload.begin(), payload.end());
-  m.sig = sign_with(keys.sk, keys.pk.y, payload);
+  m.sig = sign(keys, payload);
   return m;
 }
 

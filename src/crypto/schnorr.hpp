@@ -55,6 +55,11 @@ struct Signature {
 /// Sign `msg` with deterministic nonce k = H(sk || msg) mod q.
 Signature sign(const SecretKey& sk, BytesView msg);
 
+/// sign(keys.sk, msg) without recomputing the public key g^x: the
+/// challenge takes keys.pk, so the signature is bit-identical for every
+/// pair KeyPair::generate makes. Callers that hold their pair use this.
+Signature sign(const KeyPair& keys, BytesView msg);
+
 /// Verify: g^s == R * y^e (mod p) with e = H(R || y || msg) mod q.
 /// Always performs the full check (no memoization) — `verify_cached` /
 /// `SignedMessage::valid` are the cached entry points.
@@ -75,9 +80,12 @@ bool verify_cached(const PublicKey& pk, BytesView msg, const Signature& sig);
 /// the content, so repeats a caller can rule out without a verdict are
 /// not looked up at all: a member's ECHO handler skips the PROPOSE an
 /// echo relays when it equals the one the member already holds, and
-/// after CONFIRM skips such echoes entirely. Verdicts are pure functions
-/// of content, so caching cannot change any protocol outcome, and
-/// mutating a message changes its key, so stale verdicts are unreachable.
+/// after CONFIRM skips such echoes entirely; the decoded view of a
+/// shared payload keeps the verdicts its first receiver looked up, so
+/// later receivers look up nothing (src/protocol/README.md). Verdicts
+/// are pure functions of content, so caching cannot change any protocol
+/// outcome, and mutating a message changes its key, so stale verdicts
+/// are unreachable.
 namespace verify_cache {
 std::uint64_t hits();
 std::uint64_t misses();
@@ -104,9 +112,8 @@ struct SignedMessage {
   bool operator==(const SignedMessage&) const = default;
 };
 
-/// Convenience: build a SignedMessage over `payload`. Signs with
-/// `keys.pk` as the public key, so the signature equals
-/// sign(keys.sk, payload) for every pair KeyPair::generate makes.
+/// Convenience: build a SignedMessage over `payload`, signed with
+/// sign(keys, payload).
 SignedMessage make_signed(const KeyPair& keys, BytesView payload);
 
 /// Batch verification: true iff every message verifies. Uses the

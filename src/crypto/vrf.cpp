@@ -27,10 +27,10 @@ VrfOutput VrfOutput::deserialize(BytesView b) {
   return out;
 }
 
-VrfOutput vrf_prove(const SecretKey& sk, BytesView input) {
+VrfOutput vrf_prove(const KeyPair& keys, BytesView input) {
   const Bytes msg = domain_separated(input);
   VrfOutput out;
-  out.proof = sign(sk, msg);
+  out.proof = sign(keys, msg);
   out.hash = sha256_concat({bytes_of("cyc.vrf.out"), be64(out.proof.r)});
   return out;
 }

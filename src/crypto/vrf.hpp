@@ -26,8 +26,8 @@ struct VrfOutput {
   bool operator==(const VrfOutput&) const = default;
 };
 
-/// Evaluate the VRF on `input`.
-VrfOutput vrf_prove(const SecretKey& sk, BytesView input);
+/// Evaluate the VRF on `input` with the prover's key pair.
+VrfOutput vrf_prove(const KeyPair& keys, BytesView input);
 
 /// Verify that `out` is the unique VRF output of `pk` on `input`.
 bool vrf_verify(const PublicKey& pk, BytesView input, const VrfOutput& out);

@@ -81,8 +81,8 @@ bool Transaction::is_intra_shard(std::uint32_t m) const {
   return true;
 }
 
-void sign_tx(Transaction& tx, const crypto::SecretKey& sk) {
-  tx.sig = crypto::sign(sk, tx.body_bytes());
+void sign_tx(Transaction& tx, const crypto::KeyPair& keys) {
+  tx.sig = crypto::sign(keys, tx.body_bytes());
 }
 
 bool check_tx_signature(const Transaction& tx) {

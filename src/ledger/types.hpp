@@ -76,8 +76,9 @@ struct Transaction {
   bool operator==(const Transaction&) const = default;
 };
 
-/// Sign the body with the spender's key.
-void sign_tx(Transaction& tx, const crypto::SecretKey& sk);
+/// Sign the body with `keys`, normally the spender's pair (a mismatched
+/// pair makes the deliberately invalid transactions of the workload).
+void sign_tx(Transaction& tx, const crypto::KeyPair& keys);
 
 /// Verify the spender's signature over the body.
 bool check_tx_signature(const Transaction& tx);

@@ -18,11 +18,16 @@ std::string verdict_name(TxVerdict v) {
 }
 
 TxVerdict verify_tx(const Transaction& tx, const UtxoStore& inputs_view) {
+  return verify_tx(tx, inputs_view, [&] { return check_tx_signature(tx); });
+}
+
+TxVerdict verify_tx(const Transaction& tx, const UtxoStore& inputs_view,
+                    const std::function<bool()>& signature_ok) {
   if (tx.inputs.empty() || tx.outputs.empty()) return TxVerdict::kMalformed;
   for (const auto& out : tx.outputs) {
     if (out.amount == 0) return TxVerdict::kMalformed;
   }
-  if (!check_tx_signature(tx)) return TxVerdict::kBadSignature;
+  if (!signature_ok()) return TxVerdict::kBadSignature;
 
   std::unordered_set<OutPoint, OutPointHash> seen;
   Amount in_total = 0;

@@ -6,6 +6,7 @@
 // double-spending."
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "ledger/types.hpp"
@@ -27,6 +28,13 @@ std::string verdict_name(TxVerdict v);
 
 /// Full verification of `tx` against the spender shard's UTXO view.
 TxVerdict verify_tx(const Transaction& tx, const UtxoStore& inputs_view);
+
+/// verify_tx with its spender-signature step (the only crypto in V)
+/// answered by `signature_ok`, which runs at most once and only where
+/// verify_tx would check the signature. Lets a caller that judges the
+/// same transaction for many nodes share that verdict.
+TxVerdict verify_tx(const Transaction& tx, const UtxoStore& inputs_view,
+                    const std::function<bool()>& signature_ok);
 
 /// Convenience wrapper returning the paper's boolean V(tx).
 inline bool V(const Transaction& tx, const UtxoStore& inputs_view) {

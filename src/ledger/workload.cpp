@@ -137,7 +137,7 @@ Transaction WorkloadGenerator::make_valid_tx_from(std::size_t spender,
       tx.outputs.push_back(TxOut{users_[spender].pk, budget - pay});
     }
   }
-  sign_tx(tx, users_[spender].sk);
+  sign_tx(tx, users_[spender]);
 
   in_flight_[key_of(tx.id())] = {input};
   ground_truth_[key_of(tx.id())] = true;
@@ -155,7 +155,7 @@ Transaction WorkloadGenerator::make_invalid_tx(InvalidKind kind) {
           {bytes_of("cyc.fake"), be64(rng_.next())});
       tx.inputs.push_back(OutPoint{fake, 0});
       tx.outputs.push_back(TxOut{users_[spender].pk, 1});
-      sign_tx(tx, users_[spender].sk);
+      sign_tx(tx, users_[spender]);
       break;
     }
     case InvalidKind::kBadSignature: {
@@ -167,7 +167,7 @@ Transaction WorkloadGenerator::make_invalid_tx(InvalidKind kind) {
       tx.spender = users_[victim].pk;
       tx.inputs.push_back(target.op);
       tx.outputs.push_back(TxOut{users_[spender].pk, target.amount});
-      sign_tx(tx, users_[spender].sk);  // wrong key
+      sign_tx(tx, users_[spender]);  // wrong key
       break;
     }
     case InvalidKind::kOverspend: {
@@ -177,7 +177,7 @@ Transaction WorkloadGenerator::make_invalid_tx(InvalidKind kind) {
       tx.spender = users_[victim].pk;
       tx.inputs.push_back(target.op);
       tx.outputs.push_back(TxOut{users_[victim].pk, target.amount * 2 + 1});
-      sign_tx(tx, users_[victim].sk);
+      sign_tx(tx, users_[victim]);
       break;
     }
     case InvalidKind::kDoubleSpendPair: {
@@ -192,7 +192,7 @@ Transaction WorkloadGenerator::make_invalid_tx(InvalidKind kind) {
       tx.spender = users_[target.user].pk;
       tx.inputs.push_back(target.op);
       tx.outputs.push_back(TxOut{users_[target.user].pk, target.amount});
-      sign_tx(tx, users_[target.user].sk);
+      sign_tx(tx, users_[target.user]);
       break;
     }
   }

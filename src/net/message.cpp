@@ -5,24 +5,24 @@ namespace cyc::net {
 namespace {
 thread_local std::uint64_t t_payload_allocs = 0;
 thread_local std::uint64_t t_payload_bytes = 0;
+thread_local std::uint64_t t_payload_decodes = 0;
 const Bytes kEmptyPayload;
 }  // namespace
 
 PayloadPtr make_payload(Bytes b) {
   ++t_payload_allocs;
   t_payload_bytes += b.size();
-  return std::make_shared<const Bytes>(std::move(b));
+  return std::make_shared<const Payload>(std::move(b));
 }
+
+void Payload::count_decode() { ++t_payload_decodes; }
 
 std::uint64_t payload_allocations() { return t_payload_allocs; }
 std::uint64_t payload_bytes_allocated() { return t_payload_bytes; }
-void reset_payload_counters() {
-  t_payload_allocs = 0;
-  t_payload_bytes = 0;
-}
+std::uint64_t payload_decodes() { return t_payload_decodes; }
 
 const Bytes& Message::payload() const {
-  return body ? *body : kEmptyPayload;
+  return body ? body->bytes() : kEmptyPayload;
 }
 
 std::string_view tag_name(Tag tag) {

@@ -6,8 +6,10 @@
 // their size.
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 
 #include "support/bytes.hpp"
@@ -70,23 +72,64 @@ inline constexpr std::size_t kTagCount =
 
 std::string_view tag_name(Tag tag);
 
-/// Shared, immutable payload buffer. A logical broadcast materialises its
-/// payload once and every queued copy / delivered Message aliases the same
-/// buffer — the simulator and all receivers treat payloads as read-only.
-using PayloadPtr = std::shared_ptr<const Bytes>;
+/// A payload on the wire: the bytes plus one decoded view of them.
+///
+/// A logical broadcast materialises its payload once and every queued
+/// copy / delivered Message aliases the same object; the simulator and
+/// all receivers treat the bytes as read-only. The first receiver that
+/// decodes the payload fills its view, and every later receiver reads
+/// that view instead of decoding again. The protocol's views also carry
+/// lazily filled signature verdicts (src/protocol/README.md, "Execution
+/// model"). The view lives inside the payload, so it dies with the last
+/// Message or PayloadPtr that holds it. Payloads never cross threads:
+/// each one belongs to the single-threaded engine that made it.
+class Payload {
+ public:
+  explicit Payload(Bytes bytes) : bytes_(std::move(bytes)) {}
 
-/// Wrap a byte string into a shared payload buffer. This is the single
-/// choke point where payload memory is allocated; the counters below make
-/// the zero-copy invariant ("one allocation per logical broadcast")
-/// testable. Counters are thread-local so concurrent sweep workers (one
-/// Engine per thread) account independently.
+  const Bytes& bytes() const { return bytes_; }
+
+  /// The payload decoded as `T`. The first call runs `decode(bytes())`
+  /// and keeps the result; later calls return the kept object. A decode
+  /// that throws keeps nothing, so every later call throws again. One
+  /// payload has one view type: asking for a second type is a program
+  /// error and throws std::logic_error.
+  template <class T, class Decode>
+  const T& view(Decode&& decode) const {
+    if (const T* held = std::any_cast<T>(&view_)) return *held;
+    if (view_.has_value()) {
+      throw std::logic_error("payload already decoded as another type");
+    }
+    count_decode();
+    return view_.emplace<T>(decode(BytesView(bytes_)));
+  }
+
+ private:
+  static void count_decode();
+
+  Bytes bytes_;
+  mutable std::any view_;
+};
+
+/// Shared, immutable payload (see Payload).
+using PayloadPtr = std::shared_ptr<const Payload>;
+
+/// Wrap a byte string into a shared payload. This is the single choke
+/// point where payload memory is allocated; the counters below make the
+/// zero-copy invariant ("one allocation per logical broadcast") and the
+/// decode-once invariant ("one decode per payload") testable. Counters
+/// are thread-local so concurrent sweep workers (one Engine per thread)
+/// account independently. They are cumulative: read deltas.
 PayloadPtr make_payload(Bytes b);
 
-/// Payload buffers allocated on this thread since start / last reset.
+/// Payloads allocated on this thread.
 std::uint64_t payload_allocations();
-/// Total payload bytes allocated on this thread since start / last reset.
+/// Total payload bytes allocated on this thread.
 std::uint64_t payload_bytes_allocated();
-void reset_payload_counters();
+/// Payload views decoded on this thread (Payload::view runs of `decode`,
+/// thrown ones included). Wall-clock-free but kept out of every compared
+/// artifact: it reads the simulator's cost, not the protocol's.
+std::uint64_t payload_decodes();
 
 struct Message {
   NodeId from = kNoNode;

@@ -44,6 +44,10 @@ struct Observer;
 
 namespace cyc::protocol {
 
+namespace wire {
+struct CrossTxListMsg;
+}  // namespace wire
+
 struct EngineOptions {
   /// Disable the recovery procedure: committees with a faulty leader lose
   /// the round (the RapidChain-like baseline behaviour of Table I).
@@ -480,10 +484,13 @@ class Engine {
   void on_cert(NodeState& self, std::uint32_t scope, std::uint64_t sn,
                const consensus::QuorumCert& cert);
 
-  /// Voting logic: an honest member's vote on a list given its shard's
-  /// store and its capacity; misbehaving voters per Behavior.
+  /// Voting logic: an honest member's vote on a list given its capacity;
+  /// misbehaving voters per Behavior. `valid(i)` is V(txs[i]) against
+  /// the voter's shard store, so a member can answer it from the
+  /// TX_LIST's shared view (wire::TxListView::V).
   VoteVector compute_vote(NodeState& self,
-                          const std::vector<ledger::Transaction>& txs);
+                          const std::vector<ledger::Transaction>& txs,
+                          const std::function<bool(std::size_t)>& valid);
 
   /// Leader-side: tally votes into the decision vector / TXdecSET.
   VoteVector tally(const std::map<net::NodeId, VoteVector>& votes,
@@ -510,7 +517,10 @@ class Engine {
   void leader_send_semicommit(NodeState& leader, std::uint32_t k);
   void leader_start_intra(std::uint32_t k, net::Time now);
   void leader_start_cross(std::uint32_t k, net::Time now);
-  void leader_handle_cross_in(NodeState& leader, const Bytes& request);
+  /// `req` is `request` decoded; the bytes are what the leader stores.
+  void leader_handle_cross_in(NodeState& leader,
+                              const wire::CrossTxListMsg& req,
+                              const Bytes& request);
   void leader_send_scores(std::uint32_t k);
 
   /// Apply score reports that have gathered a referee-majority ack into

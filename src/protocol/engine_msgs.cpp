@@ -220,7 +220,7 @@ void Engine::handle(net::NodeId id, const net::Message& msg, net::Time now) {
       case net::Tag::kNewLeader: on_new_leader(self, msg); break;
       case net::Tag::kPowSolution: {
         if (self.role != Role::kReferee) break;
-        const auto pow = wire::PowMsg::deserialize(msg.payload());
+        const auto& pow = wire::decoded<wire::PowMsg>(msg);
         // Referees only register the current membership; a standby or
         // retired identity must re-enter through the epoch join puzzle.
         if (pow.node >= nodes_.size() || !nodes_[pow.node].enrolled) break;
@@ -283,7 +283,7 @@ void Engine::on_intro(NodeState& self, const net::Message& msg) {
       self.role != Role::kPartial) {
     return;
   }
-  const auto intro = wire::Intro::deserialize(msg.payload());
+  const auto& intro = wire::decoded<wire::Intro>(msg);
   if (intro.ticket.committee != static_cast<std::uint32_t>(self.committee)) {
     return;
   }
@@ -305,7 +305,7 @@ void Engine::on_intro(NodeState& self, const net::Message& msg) {
 }
 
 void Engine::on_member_list(NodeState& self, const net::Message& msg) {
-  const auto list = wire::MemberListMsg::deserialize(msg.payload());
+  const auto& list = wire::decoded<wire::MemberListMsg>(msg);
   std::vector<net::NodeId> fresh;
   for (std::size_t i = 0; i < list.pks.size(); ++i) {
     if (self.known_pks.insert(list.pks[i].y).second) {
@@ -345,8 +345,7 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
                                    std::uint64_t sn, Bytes message) {
   consensus::InstanceId iid{round_, sn};
   auto [it, inserted] = self.lead.try_emplace(
-      sn, consensus::LeaderInstance(self.keys, iid, std::move(message),
-                                    instance_size(scope)));
+      sn, self.keys, iid, std::move(message), instance_size(scope));
   if (!inserted) return;
   const auto peers = instance_peers(scope);
 
@@ -369,16 +368,16 @@ void Engine::leader_start_instance(NodeState& self, std::uint32_t scope,
     return;
   }
 
-  const auto wire = it->second.make_propose().serialize();
-  send_consensus(self.id, peers, net::Tag::kPropose, scope, sn, wire);
+  consensus::ProposeWire propose = it->second.make_propose();
+  send_consensus(self.id, peers, net::Tag::kPropose, scope, sn,
+                 propose.serialize());
   // The leader processes its own proposal as a member too (it counts
   // toward the >C/2 quorum).
-  auto [mit, minserted] = self.member.try_emplace(
-      sn, consensus::MemberInstance(self.keys, self.id, iid, self.keys.pk,
-                                    instance_size(scope)));
+  auto [mit, minserted] =
+      self.member.try_emplace(sn, self.keys, self.id, iid, self.keys.pk,
+                              instance_size(scope));
   if (minserted) {
-    auto out = mit->second.on_propose(
-        consensus::ProposeWire::deserialize(wire));
+    auto out = mit->second.on_propose(std::move(propose));
     process_member_output(self, scope, sn, std::move(out), net_->now());
   }
 }
@@ -403,7 +402,7 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
     // Deliver our echo to our own member instance as well.
     auto it = self.member.find(sn);
     if (it != self.member.end()) {
-      auto echo_out = it->second.on_echo(*out.echo_broadcast);
+      auto echo_out = it->second.on_echo(std::move(*out.echo_broadcast));
       if (echo_out.confirm_to_leader && !out.confirm_to_leader) {
         out.confirm_to_leader = std::move(echo_out.confirm_to_leader);
       }
@@ -430,47 +429,57 @@ void Engine::process_member_output(NodeState& self, std::uint32_t scope,
 
 void Engine::on_consensus_msg(NodeState& self, const net::Message& msg,
                               net::Time now) {
-  const auto env = wire::ConsensusEnvelope::deserialize(msg.payload());
   // Route by scope: committee members only participate in instances of
   // their own committee; referees in referee-scope instances.
-  if (env.scope == params_.m) {
-    if (self.role != Role::kReferee) return;
-  } else {
-    if (self.committee != static_cast<std::int64_t>(env.scope)) return;
-  }
-
-  const consensus::InstanceId iid{round_, env.sn};
-  const crypto::PublicKey leader_pk =
-      expected_instance_leader(env.scope, env.sn);
+  const auto in_scope = [&](std::uint32_t scope) {
+    return scope == params_.m
+               ? self.role == Role::kReferee
+               : self.committee == static_cast<std::int64_t>(scope);
+  };
+  const auto member_of = [&](std::uint32_t scope,
+                             std::uint64_t sn) -> consensus::MemberInstance& {
+    return self.member
+        .try_emplace(sn, self.keys, self.id, consensus::InstanceId{round_, sn},
+                     expected_instance_leader(scope, sn), instance_size(scope))
+        .first->second;
+  };
 
   if (msg.tag == net::Tag::kConfirm) {
-    auto it = self.lead.find(env.sn);
+    const auto& confirm =
+        wire::decoded<wire::ConsensusMsg<consensus::ConfirmWire>>(msg);
+    if (!in_scope(confirm.scope())) return;
+    auto it = self.lead.find(confirm.sn());
     if (it == self.lead.end()) return;
-    if (auto cert =
-            it->second.on_confirm(consensus::ConfirmWire::deserialize(env.wire))) {
-      self.certs[env.sn] = *cert;
-      on_cert(self, env.scope, env.sn, *cert);
+    if (auto cert = it->second.on_confirm(confirm.wire())) {
+      self.certs[confirm.sn()] = *cert;
+      on_cert(self, confirm.scope(), confirm.sn(), *cert);
     }
     return;
   }
 
-  auto [it, inserted] = self.member.try_emplace(
-      env.sn, consensus::MemberInstance(self.keys, self.id, iid, leader_pk,
-                                        instance_size(env.scope)));
-  consensus::MemberOutput out;
   if (msg.tag == net::Tag::kPropose) {
+    const auto& propose =
+        wire::decoded<wire::ConsensusMsg<consensus::ProposeView>>(msg);
+    if (!in_scope(propose.scope())) return;
+    consensus::MemberInstance& member =
+        member_of(propose.scope(), propose.sn());
     // Track leader engagement for the 2*Gamma concealment rule.
-    if (env.scope < params_.m) {
-      const SnSlot slot = sn_decode(env.sn, /*referee_scope=*/false);
+    if (propose.scope() < params_.m) {
+      const SnSlot slot = sn_decode(propose.sn(), /*referee_scope=*/false);
       if (slot.kind == SnKind::kCrossIn) {
         self.cross_seen_propose.insert(slot.index);
       }
     }
-    out = it->second.on_propose(consensus::ProposeWire::deserialize(env.wire));
-  } else {
-    out = it->second.on_echo(consensus::EchoWire::deserialize(env.wire));
+    process_member_output(self, propose.scope(), propose.sn(),
+                          member.on_propose(propose.wire()), now);
+    return;
   }
-  process_member_output(self, env.scope, env.sn, std::move(out), now);
+
+  const auto& echo = wire::decoded<wire::ConsensusMsg<consensus::EchoView>>(msg);
+  if (!in_scope(echo.scope())) return;
+  consensus::MemberInstance& member = member_of(echo.scope(), echo.sn());
+  process_member_output(self, echo.scope(), echo.sn(),
+                        member.on_echo(echo.wire()), now);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,12 +54,13 @@ void Engine::leader_send_semicommit(NodeState& leader, std::uint32_t k) {
 
 void Engine::on_semicommit(NodeState& self, const net::Message& msg,
                            net::Time now) {
-  const auto sc = wire::SemiCommitMsg::deserialize(msg.payload());
+  const auto& view = wire::decoded<wire::SemiCommitView>(msg);
+  const wire::SemiCommitMsg& sc = view.msg();
   const std::uint32_t k = sc.committee;
   if (k >= params_.m) return;
   const crypto::PublicKey leader_pk = nodes_[committees_[k].current_leader].keys.pk;
-  if (!(sc.commitment_msg.signer == leader_pk) || !sc.commitment_msg.valid() ||
-      !(sc.list_msg.signer == leader_pk) || !sc.list_msg.valid()) {
+  if (!(sc.commitment_msg.signer == leader_pk) || !view.commitment_valid() ||
+      !(sc.list_msg.signer == leader_pk) || !view.list_valid()) {
     return;
   }
   const auto members = parse_member_list_payload(sc.list_msg.payload);
@@ -144,7 +145,7 @@ void Engine::on_semicommit(NodeState& self, const net::Message& msg,
 }
 
 void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
-  const auto ack = wire::SemiCommitAck::deserialize(msg.payload());
+  const auto& ack = wire::decoded<wire::SemiCommitAck>(msg);
   if (ack.committee >= params_.m) return;
   self.commitments[ack.committee] = ack.commitment;
   self.lists[ack.committee] = ack.members;
@@ -154,10 +155,10 @@ void Engine::on_semicommit_ack(NodeState& self, const net::Message& msg) {
 // Voting (Alg. 5 member side) and tallies
 // ---------------------------------------------------------------------------
 
-VoteVector Engine::compute_vote(NodeState& self,
-                                const std::vector<ledger::Transaction>& txs) {
+VoteVector Engine::compute_vote(
+    NodeState& self, const std::vector<ledger::Transaction>& txs,
+    const std::function<bool(std::size_t)>& valid) {
   VoteVector vote(txs.size(), Vote::kUnknown);
-  const ledger::UtxoStore& shard = shard_state_[self.committee];
   if (self.misbehaves(round_)) {
     switch (self.behavior) {
       case Behavior::kRandomVoter: {
@@ -173,7 +174,7 @@ VoteVector Engine::compute_vote(NodeState& self,
       case Behavior::kInverseVoter:
       case Behavior::kFramer: {
         for (std::size_t i = 0; i < txs.size(); ++i) {
-          vote[i] = ledger::V(txs[i], shard) ? Vote::kNo : Vote::kYes;
+          vote[i] = valid(i) ? Vote::kNo : Vote::kYes;
         }
         return vote;
       }
@@ -210,7 +211,7 @@ VoteVector Engine::compute_vote(NodeState& self,
   for (std::size_t j = 0; j < judged; ++j) {
     const std::size_t i = order[j];
     if (conflicted[i]) continue;  // already voted No above
-    vote[i] = ledger::V(txs[i], shard) ? Vote::kYes : Vote::kNo;
+    vote[i] = valid(i) ? Vote::kYes : Vote::kNo;
   }
   return vote;
 }
@@ -243,7 +244,9 @@ void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
                   msg.serialize());
   leader.votes.clear();
   // The leader votes too (it is a member of the committee).
-  leader.votes[leader.id] = compute_vote(leader, txs);
+  leader.votes[leader.id] = compute_vote(leader, txs, [&](std::size_t i) {
+    return ledger::V(txs[i], shard_state_[k]);
+  });
 
   // Collection window (the paper suggests 6 Delta): tally, agree, report.
   const std::uint32_t attempt = committees_[k].attempt;
@@ -272,29 +275,31 @@ void Engine::leader_start_intra(std::uint32_t k, net::Time now) {
 }
 
 void Engine::on_txlist(NodeState& self, const net::Message& msg) {
-  const auto list = wire::TxListMsg::deserialize(msg.payload());
+  const auto& view = wire::decoded<wire::TxListView>(msg);
+  const wire::TxListMsg& list = view.msg();
   if (self.committee != static_cast<std::int64_t>(list.committee)) return;
   const crypto::PublicKey leader_pk =
       nodes_[committees_[list.committee].current_leader].keys.pk;
-  if (!(list.signed_list.signer == leader_pk) || !list.signed_list.valid()) {
+  if (!(list.signed_list.signer == leader_pk) || !view.signature_valid()) {
     return;
   }
   self.leader_sent_txlist = true;
   if (self.id == committees_[list.committee].current_leader) return;
 
-  const auto txs = wire::decode_tx_vec(list.signed_list.payload);
+  const ledger::UtxoStore& shard = shard_state_[list.committee];
+  const VoteVector vote = compute_vote(
+      self, view.txs(), [&](std::size_t i) { return view.V(i, shard); });
   wire::VoteMsg reply;
   reply.committee = list.committee;
   reply.attempt = list.attempt;
   reply.cross = list.cross;
-  reply.signed_vote =
-      crypto::make_signed(self.keys, wire::encode_vote_vec(compute_vote(self, txs)));
+  reply.signed_vote = crypto::make_signed(self.keys, wire::encode_vote_vec(vote));
   net_->send(self.id, committees_[list.committee].current_leader,
              net::Tag::kVote, reply.serialize());
 }
 
 void Engine::on_vote(NodeState& self, const net::Message& msg) {
-  auto vote = wire::VoteMsg::deserialize(msg.payload());
+  const auto& vote = wire::decoded<wire::VoteMsg>(msg);
   if (vote.committee >= params_.m) return;
   if (self.id != committees_[vote.committee].current_leader) return;
   if (vote.attempt != committees_[vote.committee].attempt) return;
@@ -304,7 +309,7 @@ void Engine::on_vote(NodeState& self, const net::Message& msg) {
   // Park the signed vote; signatures are batch-verified at tally time
   // (leader_flush_votes) instead of one Schnorr check per arrival.
   auto& pending = vote.cross ? self.pending_cross_votes : self.pending_votes;
-  pending[voter].push_back(std::move(vote.signed_vote));
+  pending[voter].push_back(vote.signed_vote);
 }
 
 void Engine::leader_flush_votes(NodeState& leader, bool cross) {
@@ -373,7 +378,9 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
   net_->multicast(leader.id, committee_members(k), net::Tag::kTxList,
                   msg.serialize());
   leader.cross_votes.clear();
-  leader.cross_votes[leader.id] = compute_vote(leader, txs);
+  leader.cross_votes[leader.id] = compute_vote(leader, txs, [&](std::size_t i) {
+    return ledger::V(txs[i], shard_state_[k]);
+  });
 
   const std::uint32_t attempt = committees_[k].attempt;
   net_->schedule(now + 8.0 * params_.delays.delta, [this, k, attempt](net::Time) {
@@ -414,8 +421,9 @@ void Engine::leader_start_cross(std::uint32_t k, net::Time now) {
   });
 }
 
-void Engine::leader_handle_cross_in(NodeState& leader, const Bytes& request) {
-  const auto req = wire::CrossTxListMsg::deserialize(request);
+void Engine::leader_handle_cross_in(NodeState& leader,
+                                    const wire::CrossTxListMsg& req,
+                                    const Bytes& request) {
   const std::uint32_t k = static_cast<std::uint32_t>(leader.committee);
   if (req.dest != k) return;
   if (leader.cross_done.contains(req.origin) ||
@@ -454,7 +462,7 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     // running committee consensus. The forged certificate cannot carry
     // >C/2 member signatures, so origin leader and referees reject it;
     // the partial set's 2*Gamma rule then evicts the imitator.
-    const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+    const auto& req = wire::decoded<wire::CrossTxListMsg>(msg);
     if (req.origin >= params_.m) return;
     wire::CrossResultMsg forged;
     forged.request = req;
@@ -471,13 +479,14 @@ void Engine::on_cross_txlist(NodeState& self, const net::Message& msg) {
     send_to_referees(self.id, net::Tag::kCrossResult, payload);
     return;
   }
-  leader_handle_cross_in(self, msg.payload());
+  leader_handle_cross_in(self, wire::decoded<wire::CrossTxListMsg>(msg),
+                         msg.payload());
 }
 
 void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
                            net::Time now) {
   if (self.role != Role::kPartial || self.committee < 0) return;
-  const auto req = wire::CrossTxListMsg::deserialize(msg.payload());
+  const auto& req = wire::decoded<wire::CrossTxListMsg>(msg);
   const std::uint32_t k = static_cast<std::uint32_t>(self.committee);
   if (req.dest != k) return;
   if (self.cross_hints.contains(req.origin)) return;
@@ -513,7 +522,7 @@ void Engine::on_cross_hint(NodeState& self, const net::Message& msg,
 void Engine::on_cross_result(NodeState& self, const net::Message& msg) {
   // Referees record the doubly-certified cross list for the block.
   if (self.role != Role::kReferee) return;
-  const auto result = wire::CrossResultMsg::deserialize(msg.payload());
+  const auto& result = wire::decoded<wire::CrossResultMsg>(msg);
   const std::uint32_t dest = result.request.dest;
   const std::uint32_t origin = result.request.origin;
   if (dest >= params_.m || origin >= params_.m) return;
@@ -553,7 +562,7 @@ void Engine::on_certified_result(NodeState& self, const net::Message& msg) {
   // block alone. Score reports are applied at the start of the selection
   // phase, not here.
   if (self.role != Role::kReferee) return;
-  const auto result = wire::CertifiedResult::deserialize(msg.payload());
+  const auto& result = wire::decoded<wire::CertifiedResult>(msg);
   const bool intra = msg.tag == net::Tag::kIntraResult;
   const std::uint32_t k =
       intra ? wire::IntraDecision::deserialize(result.payload).committee
@@ -715,7 +724,7 @@ void Engine::begin_accusation(NodeState& accuser, std::uint32_t k,
 }
 
 void Engine::on_accuse(NodeState& self, const net::Message& msg) {
-  const auto accusation = Accusation::deserialize(msg.payload());
+  const auto& accusation = wire::decoded<Accusation>(msg);
   if (self.committee != static_cast<std::int64_t>(accusation.committee)) return;
   const net::NodeId accuser_id = node_of_pk(accusation.accuser);
   if (accuser_id == net::kNoNode || accuser_id == self.id) return;
@@ -762,7 +771,7 @@ void Engine::on_accuse(NodeState& self, const net::Message& msg) {
 
 void Engine::on_impeach_vote(NodeState& self, const net::Message& msg) {
   if (!self.pending_accusation || self.sent_prosecution) return;
-  const auto approval = crypto::SignedMessage::deserialize(msg.payload());
+  const auto& approval = wire::decoded<crypto::SignedMessage>(msg);
   const Bytes expected =
       ImpeachmentCert::approval_payload(*self.pending_accusation);
   if (!equal(approval.payload, expected) || !approval.valid()) return;
@@ -823,7 +832,7 @@ bool Engine::certifies(const Bytes& cert, const Bytes& payload,
 void Engine::on_prosecute(NodeState& self, const net::Message& msg,
                           net::Time now) {
   if (self.role != Role::kReferee) return;
-  const auto cert = ImpeachmentCert::deserialize(msg.payload());
+  const auto& cert = wire::decoded<ImpeachmentCert>(msg);
   const auto& accusation = cert.accusation;
   if (accusation.committee >= params_.m) return;
   if (committees_[accusation.committee].leader_convicted) return;
@@ -926,7 +935,7 @@ void Engine::announce_new_leader(NodeState& referee, std::uint32_t k) {
 void Engine::on_new_leader(NodeState& self, const net::Message& msg) {
   // Member-side state refresh; the authoritative switch happened in
   // install_new_leader when C_R certified the re-selection.
-  const auto announcement = wire::NewLeaderMsg::deserialize(msg.payload());
+  const auto& announcement = wire::decoded<wire::NewLeaderMsg>(msg);
   if (self.committee == static_cast<std::int64_t>(announcement.committee)) {
     self.leader_sent_txlist = false;
   }
@@ -975,7 +984,8 @@ void Engine::redo_leader_duties(std::uint32_t k, net::Time now) {
       leader_start_cross(k, now);
       // Process any cross lists the partial member already holds.
       for (const auto& [origin, hint] : leader.cross_hints) {
-        leader_handle_cross_in(leader, hint);
+        leader_handle_cross_in(leader, wire::CrossTxListMsg::deserialize(hint),
+                               hint);
       }
       break;
     case net::Phase::kReputation:

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "ledger/validator.hpp"
 #include "support/serde.hpp"
 
 namespace cyc::protocol::wire {
@@ -102,6 +103,14 @@ SemiCommitMsg SemiCommitMsg::deserialize(BytesView b) {
   return m;
 }
 
+bool SemiCommitView::commitment_valid() const {
+  return commitment_valid_.get([&] { return msg_.commitment_msg.valid(); });
+}
+
+bool SemiCommitView::list_valid() const {
+  return list_valid_.get([&] { return msg_.list_msg.valid(); });
+}
+
 // --- SemiCommitAck -------------------------------------------------------------
 
 Bytes SemiCommitAck::serialize() const {
@@ -141,6 +150,32 @@ std::vector<ledger::Transaction> decode_tx_vec(BytesView b) {
     txs.push_back(ledger::Transaction::deserialize(rd.bytes()));
   }
   return txs;
+}
+
+bool TxListView::signature_valid() const {
+  return signature_valid_.get([&] { return msg_.signed_list.valid(); });
+}
+
+const TxListView::Txs& TxListView::decoded_txs() const {
+  return txs_.get([&] {
+    Txs txs;
+    txs.list = decode_tx_vec(msg_.signed_list.payload);
+    txs.signed_ok.resize(txs.list.size());
+    return txs;
+  });
+}
+
+const std::vector<ledger::Transaction>& TxListView::txs() const {
+  return decoded_txs().list;
+}
+
+bool TxListView::V(std::size_t i, const ledger::UtxoStore& shard) const {
+  const Txs& txs = decoded_txs();
+  const ledger::Transaction& tx = txs.list.at(i);
+  const auto signature_ok = [&] {
+    return txs.signed_ok[i].get([&] { return ledger::check_tx_signature(tx); });
+  };
+  return ledger::verify_tx(tx, shard, signature_ok) == ledger::TxVerdict::kValid;
 }
 
 Bytes TxListMsg::serialize() const {

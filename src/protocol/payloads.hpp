@@ -3,13 +3,18 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "consensus/engine.hpp"
 #include "consensus/types.hpp"
 #include "ledger/types.hpp"
+#include "ledger/utxo.hpp"
+#include "net/message.hpp"
 #include "protocol/reputation.hpp"
 #include "protocol/sortition.hpp"
 #include "support/bytes.hpp"
+#include "support/lazy.hpp"
 
 namespace cyc::protocol::wire {
 
@@ -42,6 +47,30 @@ struct ConsensusEnvelope {
   static ConsensusEnvelope deserialize(BytesView b);
 };
 
+/// Decoded view of one Algorithm 3 delivery: the envelope's route, and
+/// the inner wire decoded as W (consensus::ProposeView, EchoView or
+/// ConfirmWire) on first use. Routing reads only scope and sn, so a
+/// receiver outside the instance never decodes the inner wire.
+template <class W>
+class ConsensusMsg {
+ public:
+  static ConsensusMsg deserialize(BytesView b) {
+    return ConsensusMsg(ConsensusEnvelope::deserialize(b));
+  }
+
+  std::uint32_t scope() const { return env_.scope; }
+  std::uint64_t sn() const { return env_.sn; }
+  const W& wire() const {
+    return wire_.get([&] { return W::deserialize(env_.wire); });
+  }
+
+ private:
+  explicit ConsensusMsg(ConsensusEnvelope env) : env_(std::move(env)) {}
+
+  ConsensusEnvelope env_;
+  Lazy<W> wire_;
+};
+
 /// SEMI_COM bundle the leader distributes: signed commitment plus signed
 /// member list (Alg. 4).
 struct SemiCommitMsg {
@@ -51,6 +80,27 @@ struct SemiCommitMsg {
 
   Bytes serialize() const;
   static SemiCommitMsg deserialize(BytesView b);
+};
+
+/// A decoded SEMI_COM as every referee and partial-set member reads it:
+/// the message plus both signature verdicts, each computed by the first
+/// receiver that asks.
+class SemiCommitView {
+ public:
+  static SemiCommitView deserialize(BytesView b) {
+    return SemiCommitView(SemiCommitMsg::deserialize(b));
+  }
+
+  const SemiCommitMsg& msg() const { return msg_; }
+  bool commitment_valid() const;  ///< msg().commitment_msg.valid()
+  bool list_valid() const;        ///< msg().list_msg.valid()
+
+ private:
+  explicit SemiCommitView(SemiCommitMsg msg) : msg_(std::move(msg)) {}
+
+  SemiCommitMsg msg_;
+  Lazy<bool> commitment_valid_;
+  Lazy<bool> list_valid_;
 };
 
 /// Referee relay of an accepted semi-commitment to all key members.
@@ -77,6 +127,37 @@ struct TxListMsg {
 
 Bytes encode_tx_vec(const std::vector<ledger::Transaction>& txs);
 std::vector<ledger::Transaction> decode_tx_vec(BytesView b);
+
+/// A decoded TX_LIST as every committee member reads it: the message, the
+/// leader's signature verdict, the transaction list (decoded on first
+/// use) and, per transaction, the spender-signature step of V. Each is
+/// computed by the first member that asks; each member still judges the
+/// inputs against the shard's UTXO state itself.
+class TxListView {
+ public:
+  static TxListView deserialize(BytesView b) {
+    return TxListView(TxListMsg::deserialize(b));
+  }
+
+  const TxListMsg& msg() const { return msg_; }
+  bool signature_valid() const;  ///< msg().signed_list.valid()
+  /// decode_tx_vec(msg().signed_list.payload)
+  const std::vector<ledger::Transaction>& txs() const;
+  /// ledger::V(txs()[i], shard), its signature step shared.
+  bool V(std::size_t i, const ledger::UtxoStore& shard) const;
+
+ private:
+  struct Txs {
+    std::vector<ledger::Transaction> list;
+    std::vector<Lazy<bool>> signed_ok;  ///< check_tx_signature, per tx
+  };
+  explicit TxListView(TxListMsg msg) : msg_(std::move(msg)) {}
+  const Txs& decoded_txs() const;
+
+  TxListMsg msg_;
+  Lazy<bool> signature_valid_;
+  Lazy<Txs> txs_;
+};
 
 /// VOTE reply.
 struct VoteMsg {
@@ -185,5 +266,15 @@ struct BlockMsg {
   Bytes serialize() const;
   static BlockMsg deserialize(BytesView b);
 };
+
+/// The one decode of a delivered payload: its view as T, which
+/// T::deserialize makes for the first receiver and every later receiver
+/// of the same payload reads (see "Execution model" in README.md).
+/// Malformed bytes throw on every delivery, like the decoder itself.
+template <class T>
+const T& decoded(const net::Message& msg) {
+  if (!msg.body) throw std::invalid_argument("message carries no payload");
+  return msg.body->view<T>(&T::deserialize);
+}
 
 }  // namespace cyc::protocol::wire

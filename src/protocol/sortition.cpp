@@ -18,7 +18,7 @@ SortitionTicket crypto_sort(const crypto::KeyPair& keys, std::uint64_t round,
                             const crypto::Digest& randomness,
                             std::uint32_t m) {
   SortitionTicket ticket;
-  ticket.proof = crypto::vrf_prove(keys.sk, sortition_input(round, randomness));
+  ticket.proof = crypto::vrf_prove(keys, sortition_input(round, randomness));
   ticket.committee = static_cast<std::uint32_t>(
       crypto::digest_prefix_u64(ticket.proof.hash) % m);
   return ticket;

@@ -353,6 +353,79 @@ TEST(Alg3, WireSerializationRoundTrips) {
   EXPECT_EQ(echo2.body.member, 1u);
 }
 
+// --- decoded views: lazy verdicts shared by every receiver ---------------------
+
+/// Total verify-cache lookups so far (hits + misses).
+std::uint64_t lookups() {
+  return crypto::verify_cache::hits() + crypto::verify_cache::misses();
+}
+
+TEST(DecodedView, SecondMemberReadsSharedEchoVerdictsWithoutLookups) {
+  Committee c(5);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  MemberInstance sender(c.keys[1], 1, c.id, c.leader_keys().pk, c.size());
+  const EchoWire echo = *sender.on_propose(leader.make_propose()).echo_broadcast;
+  // Three receivers in the same state: none holds the PROPOSE yet, so the
+  // relayed PROPOSE's signature is checked too.
+  auto receiver = [&](std::size_t i) {
+    return MemberInstance(c.keys[i], i, c.id, c.leader_keys().pk, c.size());
+  };
+  MemberInstance control = receiver(2), first = receiver(3), second = receiver(4);
+
+  // Control: an unshared copy, as every receiver decoded before.
+  crypto::verify_cache::clear();
+  const MemberOutput control_out = control.on_echo(echo);
+  const std::uint64_t control_misses = crypto::verify_cache::misses();
+  ASSERT_GT(control_misses, 0u);
+
+  crypto::verify_cache::clear();
+  const EchoView shared = EchoView::deserialize(echo.serialize());
+  const MemberOutput first_out = first.on_echo(shared);
+  EXPECT_EQ(crypto::verify_cache::misses(), control_misses);
+  const std::uint64_t before = lookups();
+  const MemberOutput second_out = second.on_echo(shared);
+  EXPECT_EQ(lookups(), before) << "the second receiver reads the verdicts";
+
+  // Same outcome for all three: each learns the proposal and echoes.
+  for (const MemberOutput* out : {&control_out, &first_out, &second_out}) {
+    EXPECT_TRUE(out->echo_broadcast.has_value());
+    EXPECT_FALSE(out->witness.has_value());
+  }
+}
+
+TEST(DecodedView, EditedCopyOfADecodedWireGetsFreshVerdicts) {
+  Committee c(3);
+  LeaderInstance leader(c.leader_keys(), c.id, c.message, c.size());
+  MemberInstance sender(c.keys[1], 1, c.id, c.leader_keys().pk, c.size());
+  const EchoWire echo = *sender.on_propose(leader.make_propose()).echo_broadcast;
+  const EchoView view = EchoView::deserialize(echo.serialize());
+  ASSERT_TRUE(view.sig_valid() && view.bound() && view.propose_valid());
+
+  EchoWire edited = view.wire();
+  edited.body.member = 3;  // no longer what the signature covers
+  const EchoView fresh(edited);
+  EXPECT_TRUE(fresh.sig_valid());
+  EXPECT_FALSE(fresh.bound());
+  edited.body.propose_sig.sig.s ^= 1;
+  EXPECT_FALSE(EchoView(edited).propose_valid());
+  EXPECT_TRUE(view.bound() && view.propose_valid()) << "the original keeps its own";
+
+  // A member fed an edited copy rejects it; the original echo then makes
+  // its quorum of two.
+  MemberInstance receiver(c.keys[2], 2, c.id, c.leader_keys().pk, c.size());
+  receiver.on_propose(leader.make_propose());
+  EXPECT_FALSE(receiver.on_echo(edited).confirm_to_leader.has_value());
+  EXPECT_FALSE(receiver.on_echo(fresh).confirm_to_leader.has_value());
+  EXPECT_TRUE(receiver.on_echo(view).confirm_to_leader.has_value());
+
+  const ProposeWire propose = leader.make_propose();
+  ProposeWire forged = propose;
+  forged.message.push_back('!');
+  EXPECT_EQ(ProposeView(propose).message_digest(), crypto::sha256(propose.message));
+  EXPECT_NE(ProposeView(forged).message_digest(),
+            ProposeView(propose).message_digest());
+}
+
 // Quorum property sweep: cert emerges exactly when confirms > C/2.
 class QuorumSweep : public ::testing::TestWithParam<std::size_t> {};
 

@@ -125,6 +125,14 @@ TEST(SignedMessage, MakeSignedEqualsSign) {
   }
 }
 
+TEST(Schnorr, SignWithPairEqualsSignWithSecret) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const KeyPair kp = keys(seed);
+    const Bytes msg = concat({bytes_of("pair"), be64(seed * 104729)});
+    EXPECT_EQ(sign(kp, msg), sign(kp.sk, msg)) << "seed=" << seed;
+  }
+}
+
 // Property sweep across many keys and messages.
 class SchnorrSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -70,7 +70,7 @@ ledger::Transaction tx_paying(ledger::Amount amount) {
   ledger::Transaction tx;
   tx.outputs = {{kp.pk, amount}};
   tx.spender = kp.pk;
-  ledger::sign_tx(tx, kp.sk);
+  ledger::sign_tx(tx, kp);
   return tx;
 }
 

@@ -135,7 +135,7 @@ ledger::Transaction make_spend(const crypto::KeyPair& owner,
   tx.inputs = {in};
   tx.outputs = {{to, amount}};
   tx.spender = owner.pk;
-  ledger::sign_tx(tx, owner.sk);
+  ledger::sign_tx(tx, owner);
   return tx;
 }
 

@@ -12,7 +12,7 @@ Transaction sample_tx(std::uint64_t seed) {
   tx.spender = a.pk;
   tx.inputs.push_back(OutPoint{crypto::sha256(be64(seed)), 0});
   tx.outputs.push_back(TxOut{b.pk, seed % 100 + 1});
-  sign_tx(tx, a.sk);
+  sign_tx(tx, a);
   return tx;
 }
 

@@ -15,7 +15,7 @@ Transaction simple_tx(const crypto::KeyPair& from, const crypto::KeyPair& to,
   tx.spender = from.pk;
   tx.inputs.push_back(OutPoint{crypto::sha256(bytes_of("prev")), 0});
   tx.outputs.push_back(TxOut{to.pk, amount});
-  sign_tx(tx, from.sk);
+  sign_tx(tx, from);
   return tx;
 }
 
@@ -41,7 +41,7 @@ TEST(TxTypes, SerializationRoundTrip) {
   const auto a = user(2), b = user(3);
   Transaction tx = simple_tx(a, b, 50);
   tx.outputs.push_back(TxOut{a.pk, 25});
-  sign_tx(tx, a.sk);
+  sign_tx(tx, a);
   const Transaction back = Transaction::deserialize(tx.serialize());
   EXPECT_EQ(back, tx);
   EXPECT_EQ(back.id(), tx.id());
@@ -77,8 +77,23 @@ TEST(TxTypes, WrongSignerFails) {
   tx.spender = a.pk;
   tx.inputs.push_back(OutPoint{crypto::sha256(bytes_of("p")), 0});
   tx.outputs.push_back(TxOut{b.pk, 1});
-  sign_tx(tx, b.sk);  // signed by the wrong key
+  sign_tx(tx, b);  // signed by the wrong key
   EXPECT_FALSE(check_tx_signature(tx));
+}
+
+TEST(TxTypes, SignTxEqualsSecretKeySignature) {
+  // sign_tx signs with the given pair's known public key; the signature
+  // must equal sign(sk, body), also when that pair is not the spender's
+  // (the workload's deliberately wrong-key transactions).
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const auto owner = user(seed + 300), thief = user(seed + 400);
+    Transaction honest = simple_tx(owner, thief, 1 + seed);
+    EXPECT_EQ(honest.sig, crypto::sign(owner.sk, honest.body_bytes()));
+    Transaction theft = honest;
+    sign_tx(theft, thief);  // spender stays the owner
+    EXPECT_EQ(theft.sig, crypto::sign(thief.sk, theft.body_bytes()));
+    EXPECT_FALSE(check_tx_signature(theft));
+  }
 }
 
 TEST(TxTypes, IntraVsCrossShard) {

@@ -71,7 +71,7 @@ TEST(Utxo, ApplySpendsAndAdds) {
   tx.spender = alice.pk;
   tx.inputs.push_back(op(5));
   tx.outputs.push_back(TxOut{bob.pk, 90});
-  sign_tx(tx, alice.sk);
+  sign_tx(tx, alice);
 
   store.apply(tx);
   EXPECT_FALSE(store.contains(op(5)));
@@ -91,7 +91,7 @@ TEST(Utxo, ApplyCrossShardOnlyTouchesOwnSide) {
   tx.spender = alice.pk;
   tx.inputs.push_back(op(6));
   tx.outputs.push_back(TxOut{carol.pk, 100});
-  sign_tx(tx, alice.sk);
+  sign_tx(tx, alice);
 
   store0.apply(tx);
   store1.apply(tx);

@@ -42,7 +42,7 @@ struct Env {
     tx.inputs.push_back(outpoint(0));
     tx.outputs.push_back(TxOut{bob.pk, pay});
     if (change > 0) tx.outputs.push_back(TxOut{alice.pk, change});
-    sign_tx(tx, alice.sk);
+    sign_tx(tx, alice);
     return tx;
   }
 };
@@ -75,7 +75,7 @@ TEST(Validator, UnknownInputRejected) {
   tx.spender = env.alice.pk;
   tx.inputs.push_back(OutPoint{crypto::sha256(bytes_of("nope")), 0});
   tx.outputs.push_back(TxOut{env.bob.pk, 1});
-  sign_tx(tx, env.alice.sk);
+  sign_tx(tx, env.alice);
   EXPECT_EQ(verify_tx(tx, env.store), TxVerdict::kUnknownInput);
 }
 
@@ -102,7 +102,7 @@ TEST(Validator, TheftRejected) {
   tx.spender = env.alice.pk;
   tx.inputs.push_back(Env::outpoint(0));
   tx.outputs.push_back(TxOut{env.bob.pk, 100});
-  sign_tx(tx, env.bob.sk);
+  sign_tx(tx, env.bob);
   EXPECT_EQ(verify_tx(tx, env.store), TxVerdict::kBadSignature);
 }
 
@@ -113,7 +113,7 @@ TEST(Validator, NotOwnerRejected) {
   tx.spender = env.bob.pk;
   tx.inputs.push_back(Env::outpoint(0));
   tx.outputs.push_back(TxOut{env.bob.pk, 100});
-  sign_tx(tx, env.bob.sk);
+  sign_tx(tx, env.bob);
   EXPECT_EQ(verify_tx(tx, env.store), TxVerdict::kNotOwner);
 }
 
@@ -124,7 +124,7 @@ TEST(Validator, InternalDoubleSpendRejected) {
   tx.inputs.push_back(Env::outpoint(0));
   tx.inputs.push_back(Env::outpoint(0));  // same outpoint twice
   tx.outputs.push_back(TxOut{env.bob.pk, 150});
-  sign_tx(tx, env.alice.sk);
+  sign_tx(tx, env.alice);
   EXPECT_EQ(verify_tx(tx, env.store), TxVerdict::kInternalDoubleSpend);
 }
 
@@ -133,18 +133,18 @@ TEST(Validator, MalformedRejected) {
   Transaction no_inputs;
   no_inputs.spender = env.alice.pk;
   no_inputs.outputs.push_back(TxOut{env.bob.pk, 1});
-  sign_tx(no_inputs, env.alice.sk);
+  sign_tx(no_inputs, env.alice);
   EXPECT_EQ(verify_tx(no_inputs, env.store), TxVerdict::kMalformed);
 
   Transaction no_outputs;
   no_outputs.spender = env.alice.pk;
   no_outputs.inputs.push_back(Env::outpoint(0));
-  sign_tx(no_outputs, env.alice.sk);
+  sign_tx(no_outputs, env.alice);
   EXPECT_EQ(verify_tx(no_outputs, env.store), TxVerdict::kMalformed);
 
   Transaction zero_output = env.spend(60, 39);
   zero_output.outputs[0].amount = 0;
-  sign_tx(zero_output, env.alice.sk);
+  sign_tx(zero_output, env.alice);
   EXPECT_EQ(verify_tx(zero_output, env.store), TxVerdict::kMalformed);
 }
 
@@ -155,7 +155,7 @@ TEST(Validator, MultiInputSpend) {
   tx.inputs.push_back(Env::outpoint(0));
   tx.inputs.push_back(Env::outpoint(1));
   tx.outputs.push_back(TxOut{env.bob.pk, 135});
-  sign_tx(tx, env.alice.sk);
+  sign_tx(tx, env.alice);
   EXPECT_EQ(verify_tx(tx, env.store), TxVerdict::kValid);
   EXPECT_EQ(tx_fee(tx, env.store), 5u);
 }

@@ -15,11 +15,17 @@ namespace cyc::protocol {
 struct EngineTestPeer {
   static void deliver(Engine& engine, net::NodeId to, net::Tag tag,
                       Bytes payload) {
+    deliver_shared(engine, to, tag, net::make_payload(std::move(payload)));
+  }
+  /// One payload object delivered to several receivers, as a multicast
+  /// delivers it.
+  static void deliver_shared(Engine& engine, net::NodeId to, net::Tag tag,
+                             const net::PayloadPtr& payload) {
     net::Message msg;
     msg.from = to;
     msg.to = to;
     msg.tag = tag;
-    msg.body = net::make_payload(std::move(payload));
+    msg.body = payload;
     engine.handle(to, msg, engine.net().now());
   }
 };
@@ -106,6 +112,36 @@ TEST(EngineIngress, TruncatedVoteIsCountedAndDropped) {
   EXPECT_EQ(malformed->value(), 1u);
   EXPECT_NE(observer.export_json().find("\"name\":\"malformed\""),
             std::string::npos);
+  expect_same_round(probed, twin);
+}
+
+TEST(EngineIngress, TruncatedMulticastEchoIsCountedPerDelivery) {
+  // Receivers of one multicast share its decoded view; a payload whose
+  // decode throws keeps no view, so every delivery throws and counts.
+  const Params p = small_params();
+  Engine probed(p, AdversaryConfig{});
+  Engine twin(p, AdversaryConfig{});
+  obs::Observer observer;
+  probed.attach_observer(&observer);
+  probed.run_round();
+  twin.run_round();
+  const std::vector<net::NodeId> members =
+      probed.last_assignment().committees[0].all_members();
+  wire::ConsensusEnvelope env;
+  env.scope = 0;
+  env.wire = Bytes(40, 0x5a);
+  Bytes truncated = env.serialize();
+  truncated.pop_back();  // the wire's length prefix overruns the input
+  const net::PayloadPtr payload = net::make_payload(std::move(truncated));
+  const std::uint64_t decodes_before = net::payload_decodes();
+  for (net::NodeId id : members) {
+    EngineTestPeer::deliver_shared(probed, id, net::Tag::kEcho, payload);
+  }
+  const obs::MetricCounter* malformed =
+      observer.metrics.find_counter("net.malformed.ECHO");
+  ASSERT_NE(malformed, nullptr);
+  EXPECT_EQ(malformed->value(), members.size());
+  EXPECT_EQ(net::payload_decodes() - decodes_before, members.size());
   expect_same_round(probed, twin);
 }
 

@@ -55,7 +55,7 @@ ledger::Transaction sample_tx(std::uint64_t seed) {
   tx.inputs.push_back(
       ledger::OutPoint{crypto::sha256(be64(seed)), 0});
   tx.outputs.push_back(ledger::TxOut{b.pk, 42});
-  ledger::sign_tx(tx, a.sk);
+  ledger::sign_tx(tx, a);
   return tx;
 }
 
